@@ -5,6 +5,9 @@ Exit codes are a stable contract:
   5 procedure hypotheses fail, 6 budget exhausted, 7 claim failure.
 All machine-readable output is JSON with exact fractions as strings;
 no decimals, no timestamps, byte-stable across runs.
+
+The node and time budgets of `enumerate` and `theorems --sweep` bound the
+whole command: all claims, all sizes and all workers.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import sys
 
 from .algfile import AlgebraFileError, dump_algebra, load_algebra
 from .core import FiniteEffectAlgebra, derive_order, element_order, validate
-from .enumeration import EnumerationConfig, enumerate_algebras, find_stateless
+from .enumeration import (EnumerationConfig, _rows_to_jsonable,
+                          enumerate_algebras, find_stateless)
 from .errors import BudgetExceeded, EffectAlgebraError, HypothesisViolated
 from .states import (
     InfeasibilityCertificate,
@@ -249,9 +253,36 @@ def cmd_states(args) -> int:
     return EXIT_OK
 
 
-def _default_budget():
+def _checked(kind, ok, want):
+    """An argparse type: a `kind` value for which ok(value) holds."""
+    def parse(text):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"want {want}, got {text!r}")
+    return parse
+
+
+_SIZE = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+_NODES = _checked(int, lambda v: v > 0, "a positive integer")
+_SECONDS = _checked(float, lambda v: v > 0, "a positive number")
+
+
+def _budget(parser, args) -> dict:
+    """Node, time and worker budgets of one enumerating command, as
+    keyword arguments of EnumerationConfig and find_stateless."""
+    nodes = args.budget_nodes
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else None
+    if nodes is None and raw:
+        try:
+            nodes = _NODES(raw)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{BUDGET_ENV}: {exc}")
+    return {"node_budget": nodes, "time_budget": args.budget_seconds,
+            "jobs": args.jobs}
 
 
 def _read_checkpoint(path):
@@ -267,15 +298,12 @@ def _write_checkpoint(path, payload):
 
 
 def cmd_enumerate(args) -> int:
-    node_budget = args.budget_nodes or _default_budget()
     checkpoint = _read_checkpoint(args.checkpoint)
 
     if args.find_stateless:
         try:
-            result = find_stateless(
-                args.size, node_budget=node_budget,
-                time_budget=args.budget_seconds, jobs=args.jobs,
-                checkpoint=checkpoint)
+            result = find_stateless(args.size, checkpoint=checkpoint,
+                                    **args.budget)
         except BudgetExceeded as exc:
             if args.checkpoint:
                 _write_checkpoint(args.checkpoint, exc.checkpoint)
@@ -297,7 +325,7 @@ def cmd_enumerate(args) -> int:
         E = result.found
         data = {"command": "enumerate", "stateless": {
             "size": E.size,
-            "table": [[-1 if v is None else v for v in row] for row in E.sum],
+            "table": _rows_to_jsonable(E.sum),
         }, "checked": result.checked}
         _emit(data, args.json,
               [f"stateless instance of size {E.size} "
@@ -309,10 +337,8 @@ def cmd_enumerate(args) -> int:
         lattice_only=args.lattice_only,
         modular_only=args.modular_only,
         unsharp_only=args.unsharp_only,
-        node_budget=node_budget,
-        time_budget=args.budget_seconds,
-        jobs=args.jobs,
         checkpoint=checkpoint,
+        **args.budget,
     )
     count = 0
     shown = []
@@ -356,36 +382,31 @@ def _claim_rows(reports):
 
 def cmd_theorems(args) -> int:
     if args.sweep is not None:
-        node_budget = args.budget_nodes or _default_budget()
-        data_rows = []
-        lines = []
-        failed = False
+        config = EnumerationConfig(size=args.sweep, **args.budget)
         try:
-            for cid in CLAIM_IDS:
-                config = EnumerationConfig(
-                    size=args.sweep, node_budget=node_budget,
-                    time_budget=args.budget_seconds, jobs=args.jobs)
-                res = sweep(config, cid)
-                data_rows.append({
-                    "claim": cid,
-                    "passed": res.passed,
-                    "hypotheses_met": res.hypotheses_met,
-                    "checked": res.checked,
-                })
-                lines.append(f"{cid}: {'pass' if res.passed else 'FAIL'} "
-                             f"(hypotheses met on {res.hypotheses_met} of "
-                             f"{res.checked})")
-                if not res.passed:
-                    failed = True
-                    lines.append("  counterexample:")
-                    lines.append(dump_algebra(res.counterexample).rstrip())
+            results = sweep(config, CLAIM_IDS)
         except BudgetExceeded:
             _emit({"command": "theorems", "budget_exhausted": True},
                   args.json, ["budget exhausted during sweep"])
             return EXIT_BUDGET
+        data_rows = []
+        lines = []
+        for res in results:
+            data_rows.append({
+                "claim": res.claim_id,
+                "passed": res.passed,
+                "hypotheses_met": res.hypotheses_met,
+                "checked": res.checked,
+            })
+            lines.append(f"{res.claim_id}: {'pass' if res.passed else 'FAIL'} "
+                         f"(hypotheses met on {res.hypotheses_met} of "
+                         f"{res.checked})")
+            if not res.passed:
+                lines.append("  counterexample:")
+                lines.append(dump_algebra(res.counterexample).rstrip())
         _emit({"command": "theorems", "sweep": args.sweep, "claims": data_rows},
               args.json, lines)
-        return EXIT_CLAIM if failed else EXIT_OK
+        return EXIT_OK if all(res.passed for res in results) else EXIT_CLAIM
 
     E, err = _load(args.file)
     if E is None:
@@ -414,6 +435,15 @@ def cmd_theorems(args) -> int:
     _emit(data, args.json, lines)
     failed = any(r.failed() for r in reports)
     return EXIT_CLAIM if failed else EXIT_OK
+
+
+def _add_budget_args(p):
+    p.add_argument("--budget-nodes", type=_NODES, default=None, metavar="N",
+                   help=f"search nodes for the whole command "
+                        f"(default: ${BUDGET_ENV}, else no limit)")
+    p.add_argument("--budget-seconds", type=_SECONDS, default=None, metavar="S",
+                   help="seconds for the whole command")
+    p.add_argument("--jobs", type=int, default=1, metavar="J")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_states)
 
     p = sub.add_parser("enumerate", help="enumerate isomorphism classes")
-    p.add_argument("size", type=int)
+    p.add_argument("size", type=_SIZE)
     p.add_argument("--lattice-only", action="store_true")
     p.add_argument("--modular-only", action="store_true")
     p.add_argument("--unsharp-only", action="store_true")
@@ -453,20 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan sizes 2..SIZE for a stateless instance")
     p.add_argument("--show", action="store_true",
                    help="print each instance in file format")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_budget_args(p)
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("theorems", help="run the claim registry")
     p.add_argument("file", nargs="?")
-    p.add_argument("--sweep", type=int, default=None, metavar="N",
+    p.add_argument("--sweep", type=_SIZE, default=None, metavar="N",
                    help="check claims over all enumerated instances of size N")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    _add_budget_args(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theorems)
 
@@ -478,6 +504,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "theorems" and args.sweep is None and args.file is None:
         parser.error("theorems needs a file or --sweep N")
+    if args.command == "enumerate" or getattr(args, "sweep", None) is not None:
+        args.budget = _budget(parser, args)
     return args.func(args)
 
 

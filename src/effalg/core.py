@@ -218,12 +218,6 @@ class OrderStructure:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
-    def upper_bounds(self, x: int, y: int) -> int:
-        return self.up[x] & self.up[y]
-
-    def lower_bounds(self, x: int, y: int) -> int:
-        return self.down[x] & self.down[y]
-
 
 def _least_of(mask: int, up: tuple[int, ...]) -> int | None:
     """The element of mask below all others in mask, if any."""

@@ -16,6 +16,7 @@ two algebras have equal keys iff they are isomorphic.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -201,53 +202,35 @@ class _Search:
         return out
 
 
+@functools.cache
 def _key_cells(m: int):
     """Cell order whose prefixes are decided by prefixes of a relabeling."""
-    return [(i, d) for d in range(1, m + 1) for i in range(1, d + 1)]
+    return tuple((i, d) for d in range(1, m + 1) for i in range(1, d + 1))
 
 
-def _encode(v: int, pos, one: int, m: int):
-    """Key entry for a table value under a partial relabeling (None=open)."""
-    if v == UNDEF:
-        return m + 2
-    if v == one:
-        return m + 1
-    p = pos[v]
-    return p if p else None
+def _key(T, n, inv, pos):
+    """Key of T relabeled by inv (position -> element) and pos (element ->
+    position, one at n-1); an undefined sum is written as n."""
+    return [n if (v := T[inv[i] * n + inv[d]]) == UNDEF else pos[v]
+            for i, d in _key_cells(n - 2)]
 
 
-def _identity_key(T, n, f):
-    m = n - 2
-    one = n - 1
-    out = []
-    for i, d in _key_cells(m):
-        v = T[i * n + d]
-        if v == UNDEF:
-            out.append(m + 2)
-        elif v == one:
-            out.append(m + 1)
-        else:
-            out.append(v)
-    return tuple(out)
-
-
-def _min_key_search(T, n, f, stop_below=None):
+def _min_key_search(T, n, f, stop_below=False):
     """Least key over frame-preserving relabelings.
 
     Relabelings permute the self-paired middles among positions 1..f and
     the orthosupplement pairs (as pairs, either orientation) among the
     remaining positions.  With stop_below set, the search answers the
-    yes/no question "is any relabeling strictly below this key?" and exits
-    at the first hit; otherwise it returns the minimum key itself.
+    yes/no question "is any relabeling strictly below the identity's key?"
+    and exits at the first hit; otherwise it returns the minimum key itself.
     """
     m = n - 2
-    one = n - 1
-    kcells = _key_cells(m)
-    best = list(stop_below) if stop_below is not None else None
+    best = _key(T, n, range(n), range(n))
     found_smaller = False
 
-    inv = [0] * (m + 2)   # position -> original element
-    pos = [0] * n         # original element -> position (0 = unassigned)
+    inv = [0] * n   # position -> original element
+    pos = [0] * n   # original element -> position (0 = unassigned)
+    pos[n - 1] = n - 1
     used = [False] * (m + 1)
     fixed = list(range(1, f + 1))
     paired = list(range(f + 1, m + 1))
@@ -276,18 +259,6 @@ def _min_key_search(T, n, f, stop_below=None):
             pos[p] = 0
             inv[d + 1] = 0
 
-    def leaf_key():
-        out = []
-        for i, d in kcells:
-            v = T[inv[i] * n + inv[d]]
-            if v == UNDEF:
-                out.append(m + 2)
-            elif v == one:
-                out.append(m + 1)
-            else:
-                out.append(pos[v])
-        return out
-
     def descend(d, state):
         # state 0: decided prefix equals best; 1: an undecided entry was
         # passed (no conclusion until the leaf); 2: prefix strictly smaller
@@ -295,9 +266,9 @@ def _min_key_search(T, n, f, stop_below=None):
         if found_smaller:
             return
         if d > m:
-            key = leaf_key()
-            if best is None or key < best:
-                if stop_below is not None:
+            key = _key(T, n, inv, pos)
+            if key < best:
+                if stop_below:
                     found_smaller = True
                 else:
                     best = key
@@ -315,17 +286,12 @@ def _min_key_search(T, n, f, stop_below=None):
             place(d, e, width)
             nstate = state
             prune = False
-            if best is not None and nstate == 0:
+            if nstate == 0:
                 idx = entry_idx
                 for dd in range(d, d + width):
                     for i in range(1, dd + 1):
                         v = T[inv[i] * n + inv[dd]]
-                        if v == UNDEF:
-                            enc = m + 2
-                        elif v == one:
-                            enc = m + 1
-                        else:
-                            enc = pos[v] or None
+                        enc = n if v == UNDEF else pos[v] or None
                         if nstate == 0:
                             if enc is None:
                                 nstate = 1
@@ -339,7 +305,7 @@ def _min_key_search(T, n, f, stop_below=None):
                     if prune or nstate == 2:
                         break
             if not prune:
-                if nstate == 2 and stop_below is not None:
+                if nstate == 2 and stop_below:
                     # the first differing entry is already smaller: every
                     # completion of this relabeling beats the base key
                     found_smaller = True
@@ -351,14 +317,13 @@ def _min_key_search(T, n, f, stop_below=None):
                 return
 
     descend(1, 0)
-    if stop_below is not None:
+    if stop_below:
         return found_smaller
-    return tuple(best) if best is not None else _identity_key(T, n, f)
+    return tuple(best)
 
 
 def _is_canonical(T, n, f) -> bool:
-    base = _identity_key(T, n, f)
-    return not _min_key_search(T, n, f, stop_below=base)
+    return not _min_key_search(T, n, f, stop_below=True)
 
 
 def _table_to_algebra(T, n) -> FiniteEffectAlgebra:
@@ -415,17 +380,26 @@ def _f_values(n: int):
 
 
 class _Budget:
+    """Nodes spent against one command's node limit and deadline (a
+    time.monotonic() value: system-wide, so pool workers share it)."""
+
     def __init__(self, node_budget, deadline):
         self.node_budget = node_budget
         self.deadline = deadline
         self.nodes = 0
 
+    def nodes_left(self):
+        return None if self.node_budget is None else self.node_budget - self.nodes
+
+    def exhausted(self) -> bool:
+        return ((self.node_budget is not None and self.nodes > self.node_budget)
+                or (self.deadline is not None and time.monotonic() > self.deadline))
+
     def spend(self):
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise _BudgetSignal()
-        if self.deadline is not None and self.nodes % 1024 == 0 \
-                and time.monotonic() > self.deadline:
+        if self.nodes % 1024 == 0 and self.exhausted():
             raise _BudgetSignal()
 
 
@@ -473,6 +447,8 @@ def _collect_prefixes(n: int, f: int, depth: int):
 
 def _run_chunk(n, f, prefix, budget: _Budget):
     """All canonical complete tables below one prefix, in search order."""
+    if budget.exhausted():
+        raise _BudgetSignal()
     search = _Search(n, f)
     for k, v in prefix:
         x, y = search.cells[k]
@@ -520,21 +496,13 @@ def _passes_filters(E: FiniteEffectAlgebra, config: EnumerationConfig) -> bool:
 
 
 def _chunk_worker(args):
-    n, f, prefix, node_budget = args
-    budget = _Budget(node_budget, None)
+    n, f, prefix, node_budget, deadline = args
+    budget = _Budget(node_budget, deadline)
     try:
         tables = _run_chunk(n, f, prefix, budget)
     except _BudgetSignal:
         return (None, budget.nodes)
     return (tables, budget.nodes)
-
-
-def _checkpoint_dict(size, completed):
-    return {
-        "version": CHECKPOINT_VERSION,
-        "size": size,
-        "completed": sorted(completed),
-    }
 
 
 def _chunk_id(f, prefix):
@@ -548,11 +516,15 @@ def enumerate_algebras(config: EnumerationConfig):
     process pool.  Raises BudgetExceeded with a checkpoint of completed
     chunks when a budget runs out.
     """
-    n = config.size
     deadline = (time.monotonic() + config.time_budget
                 if config.time_budget is not None else None)
-    budget = _Budget(config.node_budget, deadline)
+    yield from _generate(config, _Budget(config.node_budget, deadline))
 
+
+def _generate(config: EnumerationConfig, budget: _Budget):
+    """enumerate_algebras under a budget that the caller may share with
+    other sizes; the budget fields of config are not read."""
+    n = config.size
     completed = []
     done = set()
     if config.checkpoint is not None:
@@ -562,48 +534,35 @@ def enumerate_algebras(config: EnumerationConfig):
         completed = list(cp["completed"])
         done = {_freeze_chunk_id(c) for c in completed}
 
-    chunks = []
-    for f in _f_values(n):
-        for prefix in _collect_prefixes(n, f, config.chunk_depth):
-            chunks.append((f, prefix))
-    pending = [(f, p) for f, p in chunks
-               if _freeze_chunk_id(_chunk_id(f, p)) not in done]
-
-    def finish(f, prefix, tables):
-        cid = _chunk_id(f, prefix)
-        completed.append(cid)
-        done.add(_freeze_chunk_id(cid))
-        out = []
-        for rows in tables:
-            E = FiniteEffectAlgebra(size=n, zero=0, one=n - 1, sum=rows)
-            if _passes_filters(E, config):
-                out.append(E)
-        return out
-
+    pending = [(f, prefix) for f in _f_values(n)
+               for prefix in _collect_prefixes(n, f, config.chunk_depth)
+               if (f, prefix) not in done]
+    # a chunk may spend the nodes left when it is handed out, and stops at
+    # the deadline; the whole budget is checked again after each chunk
+    args = ((n, f, prefix, budget.nodes_left(), budget.deadline)
+            for f, prefix in pending)
+    pool = None
     if config.jobs <= 1:
-        for f, prefix in pending:
-            try:
-                tables = _run_chunk(n, f, prefix, budget)
-            except _BudgetSignal:
-                raise BudgetExceeded(_checkpoint_dict(n, completed))
-            yield from finish(f, prefix, tables)
+        results = map(_chunk_worker, args)
     else:
         import multiprocessing as mp
 
-        per_chunk_nodes = config.node_budget
-        args = [(n, f, prefix, per_chunk_nodes) for f, prefix in pending]
-        with mp.Pool(config.jobs) as pool:
-            for (f, prefix), (tables, nodes) in zip(
-                    pending, pool.imap(_chunk_worker, args)):
-                budget.nodes += nodes
-                over_nodes = (config.node_budget is not None
-                              and budget.nodes > config.node_budget)
-                over_time = (deadline is not None
-                             and time.monotonic() > deadline)
-                if tables is None or over_nodes or over_time:
-                    pool.terminate()
-                    raise BudgetExceeded(_checkpoint_dict(n, completed))
-                yield from finish(f, prefix, tables)
+        pool = mp.Pool(config.jobs)
+        results = pool.imap(_chunk_worker, list(args))
+    try:
+        for (f, prefix), (tables, nodes) in zip(pending, results):
+            budget.nodes += nodes
+            if tables is None or budget.exhausted():
+                raise BudgetExceeded({"version": CHECKPOINT_VERSION, "size": n,
+                                      "completed": sorted(completed)})
+            completed.append(_chunk_id(f, prefix))
+            for rows in tables:
+                E = FiniteEffectAlgebra(size=n, zero=0, one=n - 1, sum=rows)
+                if _passes_filters(E, config):
+                    yield E
+    finally:
+        if pool is not None:
+            pool.terminate()
 
 
 def _freeze_chunk_id(cid):
@@ -643,35 +602,31 @@ def find_stateless(max_n: int, node_budget=None, time_budget=None, jobs=1,
     """Scan sizes 2..max_n for an algebra admitting no state.
 
     Returns the canonically first stateless instance of the smallest size
-    that has one.  BudgetExceeded carries a checkpoint (with the sizes fully
-    cleared so far and any stateless instances already found at the current
-    size) that can be passed back in to resume.
+    that has one.  The node and time budgets bound the whole scan, all
+    sizes and workers together.  BudgetExceeded carries a checkpoint (with
+    the sizes fully cleared so far and any stateless instances already
+    found at the current size) that can be passed back in to resume.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
+    budget = _Budget(node_budget, deadline)
     cleared = []
     start_size = 2
-    found_here = []
+    stateless = []
     chunk_checkpoint = None
     checked = 0
     if checkpoint is not None:
         cleared = list(checkpoint.get("cleared_sizes", []))
         start_size = checkpoint.get("size", 2)
-        found_here = [_rows_from_jsonable(t) for t in checkpoint.get("found", [])]
+        stateless = [_rows_from_jsonable(t) for t in checkpoint.get("found", [])]
         chunk_checkpoint = checkpoint.get("chunks")
         checked = checkpoint.get("checked", 0)
 
+    # a size that finds no stateless instance leaves `stateless` empty
     for n in range(start_size, max_n + 1):
-        stateless = list(found_here)
-        found_here = []
-        remaining = None
-        if deadline is not None:
-            remaining = max(deadline - time.monotonic(), 0.001)
-        config = EnumerationConfig(
-            size=n, node_budget=node_budget, time_budget=remaining,
-            jobs=jobs, checkpoint=chunk_checkpoint)
+        config = EnumerationConfig(size=n, jobs=jobs, checkpoint=chunk_checkpoint)
         chunk_checkpoint = None
         try:
-            for E in enumerate_algebras(config):
+            for E in _generate(config, budget):
                 checked += 1
                 if not isinstance(find_state(E), StateVector):
                     stateless.append(E)

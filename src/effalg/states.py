@@ -65,9 +65,6 @@ class StateVector:
     def value(self, x: int) -> Fraction:
         return self.values[x]
 
-    def fraction_strings(self) -> tuple[str, ...]:
-        return tuple(fraction_str(v) for v in self.values)
-
     def items(self):
         return [(self.parent.label(x), self.values[x])
                 for x in self.parent.elements()]

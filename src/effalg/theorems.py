@@ -629,24 +629,34 @@ class SweepResult:
     checked: int
 
 
-def sweep(config, claim_id: str) -> SweepResult:
-    """Check one claim over every enumerated instance of a size."""
+def sweep(config, claim_ids) -> list[SweepResult]:
+    """Check claims over every enumerated instance of a size, in one pass.
+
+    Returns one result per claim, in the given order.  A claim stops at its
+    first counterexample, and the pass ends once every claim has failed.
+    """
     from .enumeration import enumerate_algebras
 
-    if claim_id not in _REGISTRY:
-        raise UnknownClaim(claim_id)
-    met = 0
-    checked = 0
+    for cid in claim_ids:
+        if cid not in _REGISTRY:
+            raise UnknownClaim(cid)
+    checked = dict.fromkeys(claim_ids, 0)
+    met = dict.fromkeys(claim_ids, 0)
+    failures = {}
+    live = list(checked)
     for E in enumerate_algebras(config):
-        checked += 1
-        report = check(E, claim_id)
-        if report.hypotheses_met:
-            met += 1
-            if report.conclusion_holds is False:
-                return SweepResult(claim_id, False,
-                                   shrink_counterexample(E, claim_id),
-                                   met, checked)
-    return SweepResult(claim_id, True, None, met, checked)
+        for cid in live:
+            checked[cid] += 1
+            report = check(E, cid)
+            if report.hypotheses_met:
+                met[cid] += 1
+                if report.conclusion_holds is False:
+                    failures[cid] = shrink_counterexample(E, cid)
+        live = [cid for cid in live if cid not in failures]
+        if not live:
+            break
+    return [SweepResult(cid, cid not in failures, failures.get(cid),
+                        met[cid], checked[cid]) for cid in claim_ids]
 
 
 def shrink_counterexample(E: FiniteEffectAlgebra,

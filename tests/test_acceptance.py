@@ -253,7 +253,7 @@ def test_criterion_10_dichotomy_sweep():
     with _Timer(300.0) as t:
         met_total = 0
         for n in range(2, 8):
-            res = sweep(EnumerationConfig(size=n), "state.atom_dichotomy")
+            [res] = sweep(EnumerationConfig(size=n), ["state.atom_dichotomy"])
             assert res.passed, (n, res.counterexample)
             met_total += res.hypotheses_met
         assert met_total > 0

@@ -224,6 +224,20 @@ class TestTheoremsCommand:
         assert code == 0
         assert all(row["passed"] for row in data["claims"])
 
+    def test_sweep_enumerates_once(self, monkeypatch):
+        from effalg import enumeration
+
+        sizes = []
+        real = enumeration.enumerate_algebras
+
+        def counting(config):
+            sizes.append(config.size)
+            return real(config)
+
+        monkeypatch.setattr(enumeration, "enumerate_algebras", counting)
+        code, _ = run_cli("theorems", "--sweep", "6")
+        assert code == 0 and sizes == [6]
+
     def test_corrupted_file_exits_2(self, tmp_path):
         path = tmp_path / "bad.alg"
         path.write_text("version 1\nelements 0 x 1\nzero 0\none 1\n")
@@ -240,6 +254,36 @@ class TestTheoremsCommand:
         monkeypatch.setattr(cli, "CLAIM_IDS", tuple(th._REGISTRY))
         code, out = run_cli("theorems", e5_file)
         assert code == 7 and "FAILS" in out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "5", "--budget-nodes", "-5"),
+        ("enumerate", "5", "--budget-nodes", "0"),
+        ("enumerate", "5", "--budget-seconds", "0"),
+        ("enumerate", "1"),
+        ("theorems", "--sweep", "1"),
+        ("theorems", "--sweep", "5", "--budget-nodes", "0"),
+        ("theorems",),
+    ])
+    def test_bad_arguments_exit_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_bad_budget_variable_exits_2_with_usage(self, monkeypatch, capsys):
+        monkeypatch.setenv("EFFALG_NODE_BUDGET", "abc")
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "5"])
+        assert info.value.code == 2
+        assert "EFFALG_NODE_BUDGET" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("enumerate", "7"), ("theorems", "--sweep", "7")])
+    def test_budget_variable_bounds_the_command(self, argv, monkeypatch):
+        monkeypatch.setenv("EFFALG_NODE_BUDGET", "40")
+        code, out = run_cli(*argv)
+        assert code == 6 and "budget exhausted" in out
 
 
 class TestDeterminism:

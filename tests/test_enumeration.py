@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,8 @@ from conftest import make_b2, make_c4, make_e5
 from effalg.core import FiniteEffectAlgebra, derive_order, validate
 from effalg.enumeration import (
     EnumerationConfig,
+    _chunk_worker,
+    _f_values,
     canonical_key,
     enumerate_algebras,
     find_stateless,
@@ -17,6 +20,7 @@ from effalg.enumeration import (
 )
 from effalg.errors import BudgetExceeded
 from effalg.states import StateVector, find_state, fm_feasible, state_system
+from oracle_frame_min import frame_min_key
 from oracle_naive import naive_classes
 
 # class counts per size, frozen after the first computation and cross-checked
@@ -98,6 +102,14 @@ class TestCanonicalKey:
             for seed in range(5):
                 assert canonical_key(self._shuffle(E, seed)) == base
 
+    def test_matches_brute_force_frame_minimum(self):
+        for n in range(2, 9):
+            for i, E in enumerate(enumerate_size(n)):
+                for seed in range(3):
+                    shuffled = self._shuffle(E, 100 * i + seed)
+                    assert canonical_key(shuffled) == frame_min_key(shuffled), \
+                        (n, i, seed)
+
     def test_distinguishes_non_isomorphic(self, b2, c4):
         assert canonical_key(b2) != canonical_key(c4)
         assert not is_isomorphic(b2, c4)
@@ -155,6 +167,16 @@ class TestBudgets:
         else:
             pytest.fail("resume loop did not converge")
         assert got == full
+
+    def test_find_stateless_budget_spans_all_sizes(self):
+        # size 8 alone takes exactly 17,241 nodes; sizes 5-7 take 1,360 more
+        with pytest.raises(BudgetExceeded):
+            find_stateless(8, node_budget=17241)
+
+    def test_worker_past_the_deadline_reports_exhaustion(self):
+        f = _f_values(7)[0]
+        tables, _ = _chunk_worker((7, f, (), None, time.monotonic() - 1))
+        assert tables is None
 
 
 class TestParallel:

@@ -74,21 +74,42 @@ class TestCheckAll:
                     assert r.hypotheses_met == (r.conclusion_holds is not None)
 
 
+@pytest.fixture(scope="module")
+def sweeps():
+    """Every claim swept once over each of sizes 5 and 6."""
+    return {n: {r.claim_id: r for r in sweep(EnumerationConfig(size=n), CLAIM_IDS)}
+            for n in (5, 6)}
+
+
 class TestSweeps:
     @pytest.mark.parametrize("cid", CLAIM_IDS)
-    def test_all_claims_hold_up_to_six(self, cid):
+    def test_all_claims_hold_up_to_six(self, sweeps, cid):
         for n in (5, 6):
-            res = sweep(EnumerationConfig(size=n), cid)
+            res = sweeps[n][cid]
             assert res.passed, (cid, n, res.counterexample)
 
     def test_sweep_reports_counts(self):
-        res = sweep(EnumerationConfig(size=5), "center.identity")
+        [res] = sweep(EnumerationConfig(size=5), ["center.identity"])
         assert res.checked == 4
         assert 0 < res.hypotheses_met <= res.checked
 
     def test_sweep_unknown_claim(self):
         with pytest.raises(UnknownClaim):
-            sweep(EnumerationConfig(size=4), "bogus")
+            sweep(EnumerationConfig(size=4), ["center.identity", "bogus"])
+
+    def test_failing_claim_stops_alone(self, monkeypatch):
+        import effalg.theorems as th
+
+        fake = th._Claim("always fails", (), lambda E: (False, ("boom",)))
+        monkeypatch.setitem(th._REGISTRY, "test.fake", fake)
+        ids = ["center.identity", "test.fake", "modular.measure"]
+        results = sweep(EnumerationConfig(size=5), ids)
+        assert [r.claim_id for r in results] == ids
+        before, failed, after = results
+        assert not failed.passed and failed.counterexample is not None
+        assert (failed.checked, failed.hypotheses_met) == (1, 1)
+        assert before.passed and after.passed
+        assert before.checked == after.checked == 4
 
 
 class TestShrink:

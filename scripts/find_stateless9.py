@@ -11,15 +11,14 @@ Budgets and a checkpoint file make long runs resumable:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from effalg.algfile import dump_algebra
-from effalg.enumeration import find_stateless
-from effalg.errors import BudgetExceeded
+from effalg.enumeration import find_stateless, read_checkpoint, write_checkpoint
+from effalg.errors import BudgetExceeded, CheckpointError
 from effalg.states import fm_feasible, state_system
 
 
@@ -35,20 +34,21 @@ def main() -> int:
                                     / "tests" / "fixtures" / "stateless9.alg"))
     args = parser.parse_args()
 
-    checkpoint = None
-    if args.checkpoint and Path(args.checkpoint).exists():
-        checkpoint = json.loads(Path(args.checkpoint).read_text())
-        print(f"resuming from {args.checkpoint}")
-
     try:
+        checkpoint = read_checkpoint(args.checkpoint)
+        if checkpoint is not None:
+            print(f"resuming from {args.checkpoint}")
         result = find_stateless(
             args.max_n, node_budget=args.budget_nodes,
             time_budget=args.budget_seconds, jobs=args.jobs,
             checkpoint=checkpoint,
             progress=lambda E: print(f"  stateless candidate of size {E.size}"))
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}")
+        return 3
     except BudgetExceeded as exc:
         if args.checkpoint:
-            Path(args.checkpoint).write_text(json.dumps(exc.checkpoint))
+            write_checkpoint(args.checkpoint, exc.checkpoint)
             print(f"budget exhausted; checkpoint written to {args.checkpoint}")
         else:
             print("budget exhausted (no checkpoint path given)")

@@ -1,7 +1,8 @@
 """Batch command line: check, analyze, states, enumerate, theorems.
 
 Exit codes are a stable contract:
-  0 success, 2 invalid algebra, 3 unreadable file, 4 no state exists,
+  0 success, 2 invalid algebra, 3 unreadable or ill-formed file
+  (algebra or checkpoint), 4 no state exists,
   5 procedure hypotheses fail, 6 budget exhausted, 7 claim failure.
 All machine-readable output is JSON with exact fractions as strings;
 no decimals, no timestamps, byte-stable across runs.
@@ -20,8 +21,10 @@ import sys
 from .algfile import AlgebraFileError, dump_algebra, load_algebra
 from .core import FiniteEffectAlgebra, derive_order, element_order, validate
 from .enumeration import (EnumerationConfig, _rows_to_jsonable,
-                          enumerate_algebras, find_stateless)
-from .errors import BudgetExceeded, EffectAlgebraError, HypothesisViolated
+                          enumerate_algebras, find_stateless, read_checkpoint,
+                          resumed_count, write_checkpoint)
+from .errors import (BudgetExceeded, CheckpointError, EffectAlgebraError,
+                     HypothesisViolated)
 from .states import (
     InfeasibilityCertificate,
     StateVector,
@@ -285,20 +288,17 @@ def _budget(parser, args) -> dict:
             "jobs": args.jobs}
 
 
-def _read_checkpoint(path):
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return None
-
-
-def _write_checkpoint(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
 def cmd_enumerate(args) -> int:
-    checkpoint = _read_checkpoint(args.checkpoint)
+    try:
+        return _enumerate(args)
+    except CheckpointError as exc:
+        _emit({"command": "enumerate", "error": str(exc)}, args.json,
+              [f"checkpoint error: {exc}"])
+        return EXIT_PARSE
+
+
+def _enumerate(args) -> int:
+    checkpoint = read_checkpoint(args.checkpoint)
 
     if args.find_stateless:
         try:
@@ -306,7 +306,7 @@ def cmd_enumerate(args) -> int:
                                     **args.budget)
         except BudgetExceeded as exc:
             if args.checkpoint:
-                _write_checkpoint(args.checkpoint, exc.checkpoint)
+                write_checkpoint(args.checkpoint, exc.checkpoint)
             _emit({"command": "enumerate", "budget_exhausted": True,
                    "cleared_sizes": list(exc.cleared_sizes),
                    "checkpoint": args.checkpoint},
@@ -340,7 +340,8 @@ def cmd_enumerate(args) -> int:
         checkpoint=checkpoint,
         **args.budget,
     )
-    count = 0
+    # a resumed run counts the classes of the chunks done before the cut
+    count = resumed_count(config)
     shown = []
     try:
         for E in enumerate_algebras(config):
@@ -349,7 +350,7 @@ def cmd_enumerate(args) -> int:
                 shown.append(dump_algebra(E).rstrip())
     except BudgetExceeded as exc:
         if args.checkpoint:
-            _write_checkpoint(args.checkpoint, exc.checkpoint)
+            write_checkpoint(args.checkpoint, exc.checkpoint)
         _emit({"command": "enumerate", "budget_exhausted": True,
                "partial_count": count, "checkpoint": args.checkpoint},
               args.json,

@@ -201,8 +201,8 @@ def is_valid(E: FiniteEffectAlgebra) -> bool:
 class OrderStructure:
     """The order derived from x <= y iff x + z = y for some z.
 
-    up[x] / down[x] are bitmasks over element indices (x included in both).
-    join/meet are partial tables: None where no least upper / greatest lower
+    up[x] / down[x] are bitmasks over element indices (x included in both);
+    atom_mask has the bit of every atom set.  join/meet are partial tables: None where no least upper / greatest lower
     bound exists.  is_lattice iff both tables are total.
     """
 
@@ -211,6 +211,7 @@ class OrderStructure:
     down: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
     atoms: tuple[int, ...]
+    atom_mask: int
     join: tuple[tuple[int | None, ...], ...]
     meet: tuple[tuple[int | None, ...], ...]
     is_lattice: bool
@@ -291,6 +292,7 @@ def _compute_order(E: FiniteEffectAlgebra) -> OrderStructure:
         down=tuple(down),
         covers=tuple(covers),
         atoms=atoms,
+        atom_mask=sum(1 << a for a in atoms),
         join=tuple(tuple(r) for r in join),
         meet=tuple(tuple(r) for r in meet),
         is_lattice=total,

@@ -17,11 +17,14 @@ two algebras have equal keys iff they are isomorphic.
 from __future__ import annotations
 
 import functools
+import json
+import os
 import time
 from dataclasses import dataclass
 
 from .core import FiniteEffectAlgebra, validate
-from .errors import BudgetExceeded, InternalCheckFailed
+from .errors import (BudgetExceeded, CheckpointError, EffectAlgebraError,
+                     InternalCheckFailed)
 from .states import StateVector, find_state
 from .structure import is_modular, sharp_mask
 
@@ -34,12 +37,22 @@ __all__ = [
     "ForAllResult",
     "find_stateless",
     "StatelessSearch",
+    "read_checkpoint",
+    "write_checkpoint",
+    "resumed_count",
 ]
 
 UNKNOWN = -2
 UNDEF = -1
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# a checkpoint's kind is told by its exact set of fields
+_ENUMERATION_FIELDS = frozenset(
+    {"version", "size", "filters", "completed", "yielded"})
+_STATELESS_FIELDS = frozenset(
+    {"version", "size", "cleared_sizes", "found", "chunks", "checked"})
+_FILTERS = ("lattice_only", "modular_only", "unsharp_only")
 
 
 @dataclass(frozen=True)
@@ -495,6 +508,10 @@ def _passes_filters(E: FiniteEffectAlgebra, config: EnumerationConfig) -> bool:
     return True
 
 
+def _filters(config: EnumerationConfig) -> list[str]:
+    return [name for name in _FILTERS if getattr(config, name)]
+
+
 def _chunk_worker(args):
     n, f, prefix, node_budget, deadline = args
     budget = _Budget(node_budget, deadline)
@@ -503,10 +520,6 @@ def _chunk_worker(args):
     except _BudgetSignal:
         return (None, budget.nodes)
     return (tables, budget.nodes)
-
-
-def _chunk_id(f, prefix):
-    return [f, [[k, v] for k, v in prefix]]
 
 
 def enumerate_algebras(config: EnumerationConfig):
@@ -525,18 +538,8 @@ def _generate(config: EnumerationConfig, budget: _Budget):
     """enumerate_algebras under a budget that the caller may share with
     other sizes; the budget fields of config are not read."""
     n = config.size
-    completed = []
-    done = set()
-    if config.checkpoint is not None:
-        cp = config.checkpoint
-        if cp.get("version") != CHECKPOINT_VERSION or cp.get("size") != n:
-            raise ValueError("checkpoint does not match this enumeration")
-        completed = list(cp["completed"])
-        done = {_freeze_chunk_id(c) for c in completed}
-
-    pending = [(f, prefix) for f in _f_values(n)
-               for prefix in _collect_prefixes(n, f, config.chunk_depth)
-               if (f, prefix) not in done]
+    chunks, done, yielded = _resume(config)
+    pending = [c for c in chunks if c not in done]
     # a chunk may spend the nodes left when it is handed out, and stops at
     # the deadline; the whole budget is checked again after each chunk
     args = ((n, f, prefix, budget.nodes_left(), budget.deadline)
@@ -553,13 +556,17 @@ def _generate(config: EnumerationConfig, budget: _Budget):
         for (f, prefix), (tables, nodes) in zip(pending, results):
             budget.nodes += nodes
             if tables is None or budget.exhausted():
-                raise BudgetExceeded({"version": CHECKPOINT_VERSION, "size": n,
-                                      "completed": sorted(completed)})
-            completed.append(_chunk_id(f, prefix))
-            for rows in tables:
-                E = FiniteEffectAlgebra(size=n, zero=0, one=n - 1, sum=rows)
-                if _passes_filters(E, config):
-                    yield E
+                raise BudgetExceeded({
+                    "version": CHECKPOINT_VERSION, "size": n,
+                    "filters": _filters(config),
+                    "completed": sorted(done),
+                    "yielded": yielded})
+            done.add((f, prefix))
+            algebras = [FiniteEffectAlgebra(size=n, zero=0, one=n - 1, sum=rows)
+                        for rows in tables]
+            kept = [E for E in algebras if _passes_filters(E, config)]
+            yielded += len(kept)
+            yield from kept
     finally:
         if pool is not None:
             pool.terminate()
@@ -568,6 +575,87 @@ def _generate(config: EnumerationConfig, budget: _Budget):
 def _freeze_chunk_id(cid):
     f, prefix = cid
     return (f, tuple((k, v) for k, v in prefix))
+
+
+# -- checkpoints -----------------------------------------------------------
+
+
+def read_checkpoint(path) -> dict | None:
+    """The checkpoint stored at path, or None without a path or a file.
+
+    Raises CheckpointError when the file cannot be read as JSON.  Whether
+    it fits an enumeration is checked when the enumeration resumes from it.
+    """
+    if not path or not os.path.exists(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
+
+
+def write_checkpoint(path, checkpoint: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(checkpoint, fh)
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _check_checkpoint(cp, fields, kind: str, sizes):
+    """Reject cp unless it has exactly these fields, the current version
+    and a size in sizes."""
+    if not isinstance(cp, dict) or set(cp) != fields:
+        raise CheckpointError(f"not a checkpoint of {kind}")
+    if cp["version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {cp['version']!r}, "
+                              f"expected {CHECKPOINT_VERSION}")
+    if type(cp["size"]) is not int or cp["size"] not in sizes:
+        want = sizes[0] if len(sizes) == 1 else f"{sizes[0]}..{sizes[-1]}"
+        raise CheckpointError(f"checkpoint is for size {cp['size']!r}, "
+                              f"not {want}")
+
+
+def _resume(config: EnumerationConfig):
+    """All chunks of the enumeration in search order, the set of them that
+    config.checkpoint completed, and how many classes those yielded."""
+    n = config.size
+    chunks = [(f, prefix) for f in _f_values(n)
+              for prefix in _collect_prefixes(n, f, config.chunk_depth)]
+    cp = config.checkpoint
+    if cp is None:
+        return chunks, set(), 0
+    _check_checkpoint(cp, _ENUMERATION_FIELDS, "an enumeration", range(n, n + 1))
+    if cp["filters"] != _filters(config):
+        raise CheckpointError(f"checkpoint taken with filters {cp['filters']!r}, "
+                              f"not {_filters(config)!r}")
+    try:
+        done = {_freeze_chunk_id(c) for c in cp["completed"]}
+    except (TypeError, ValueError):
+        done = None
+    if done is None or not done <= set(chunks) or not _is_count(cp["yielded"]):
+        raise CheckpointError("checkpoint chunks do not belong to this enumeration")
+    return chunks, done, cp["yielded"]
+
+
+def resumed_count(config: EnumerationConfig) -> int:
+    """Classes yielded before config.checkpoint was taken (0 without one),
+    so that a resumed run can report the count of the whole enumeration."""
+    return _resume(config)[2]
+
+
+def _found_algebra(data, n: int) -> FiniteEffectAlgebra:
+    try:
+        E = _rows_from_jsonable(data)
+        ok = E.size == n and not validate(E)
+    except (TypeError, ValueError, EffectAlgebraError):
+        ok = False
+    if not ok:
+        raise CheckpointError(f"checkpoint holds a table that is not a valid "
+                              f"algebra of size {n}")
+    return E
 
 
 @dataclass(frozen=True)
@@ -609,17 +697,26 @@ def find_stateless(max_n: int, node_budget=None, time_budget=None, jobs=1,
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     budget = _Budget(node_budget, deadline)
-    cleared = []
     start_size = 2
     stateless = []
     chunk_checkpoint = None
     checked = 0
     if checkpoint is not None:
-        cleared = list(checkpoint.get("cleared_sizes", []))
-        start_size = checkpoint.get("size", 2)
-        stateless = [_rows_from_jsonable(t) for t in checkpoint.get("found", [])]
-        chunk_checkpoint = checkpoint.get("chunks")
-        checked = checkpoint.get("checked", 0)
+        _check_checkpoint(checkpoint, _STATELESS_FIELDS, "a stateless search",
+                          range(2, max_n + 1))
+        start_size = checkpoint["size"]
+        if checkpoint["cleared_sizes"] != list(range(2, start_size)):
+            raise CheckpointError(
+                f"checkpoint at size {start_size} has not cleared sizes "
+                f"2..{start_size - 1}")
+        if not (isinstance(checkpoint["found"], list)
+                and isinstance(checkpoint["chunks"], dict)
+                and _is_count(checkpoint["checked"])):
+            raise CheckpointError("ill-formed stateless search checkpoint")
+        stateless = [_found_algebra(t, start_size) for t in checkpoint["found"]]
+        chunk_checkpoint = checkpoint["chunks"]
+        checked = checkpoint["checked"]
+    cleared = list(range(2, start_size))
 
     # a size that finds no stateless instance leaves `stateless` empty
     for n in range(start_size, max_n + 1):

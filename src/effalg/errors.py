@@ -119,6 +119,10 @@ class BudgetExceeded(EffectAlgebraError):
         self.cleared_sizes = tuple(cleared_sizes)
 
 
+class CheckpointError(EffectAlgebraError):
+    """A checkpoint is unreadable or belongs to another enumeration."""
+
+
 class InternalCheckFailed(EffectAlgebraError):
     """A built-in cross-check failed: either a bug or a genuine finding.
 

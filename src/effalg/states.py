@@ -24,12 +24,14 @@ from .errors import (
     NotCentral,
     NotLattice,
 )
-from .linsolve import ZERO, ONE, SimplexResult, solve_standard
+from .linsolve import ZERO, ONE, SimplexResult, matrix_rank, solve_standard
 from .structure import (
     center,
     compatibility_center,
     compatible,
     finite_elements,
+    is_archimedean,
+    is_atomic,
     is_modular,
     sharp_mask,
 )
@@ -256,45 +258,33 @@ def find_state(E: FiniteEffectAlgebra):
 def find_subadditive_state(E: FiniteEffectAlgebra):
     """A subadditive StateVector, or a certificate; lattice instances only.
 
-    A found state is also checked against the pairwise exchange identity
-    w(x) + w(y) = w(x v y) + w(x ^ y), which subadditive states satisfy.
+    A found state is verified as subadditive, which includes the pairwise
+    exchange identity w(x) + w(y) = w(x v y) + w(x ^ y).
     """
-    result = _solve(E, state_system(E, subadditive=True))
-    if isinstance(result, StateVector):
-        order = derive_order(E)
-        w = result.values
-        for x in E.elements():
-            for y in E.elements():
-                if w[x] + w[y] != w[order.join[x][y]] + w[order.meet[x][y]]:
-                    raise InternalCheckFailed(
-                        f"subadditive state is not a modular measure at ({x},{y})")
-    return result
+    return _solve(E, state_system(E, subadditive=True))
 
 
 def state_space_dimension(E: FiniteEffectAlgebra) -> int:
-    """Affine dimension of the state polytope; -1 when it is empty."""
+    """Affine dimension of the state polytope; -1 when it is empty.
+
+    The bounds w <= 1 follow from w(x) + w(x') = 1 and w >= 0, so the
+    polytope is {eq_rows . w = rhs, w >= 0}.  Its affine hull adds w_j = 0
+    for every j whose maximum over the polytope is 0: one LP per variable,
+    the first of which also decides feasibility.
+    """
     sys = state_system(E, subadditive=False)
-    A, b = _to_standard(sys)
-    feas = solve_standard(A, b)
-    if feas.status == "infeasible":
-        return -1
+    A = [list(coeffs) for coeffs, _ in sys.eq_rows]
+    b = [rhs for _, rhs in sys.eq_rows]
     n = sys.n_vars
-    width = len(A[0])
-    fixed = []
+    rows = [list(r) for r in A]
     for j in range(n):
-        c = [ZERO] * width
-        c[j] = ONE
-        lo = solve_standard(A, b, c)
+        c = [ZERO] * n
         c[j] = -ONE
-        hi = solve_standard(A, b, c)
-        if lo.x[j] == hi.x[j]:
-            fixed.append(j)
-    from .linsolve import matrix_rank
-    rows = [list(coeffs) for coeffs, _ in sys.eq_rows]
-    for j in fixed:
-        rw = [ZERO] * n
-        rw[j] = ONE
-        rows.append(rw)
+        res = solve_standard(A, b, c)
+        if res.status == "infeasible":
+            return -1
+        if res.x[j] == 0:
+            rows.append([ONE if i == j else ZERO for i in range(n)])
     return n - matrix_rank(rows)
 
 
@@ -445,11 +435,11 @@ def state_via_exstate_procedure(E: FiniteEffectAlgebra) -> ExstateOutcome:
     if not order.is_lattice:
         raise HypothesisViolated("lattice", "some join or meet is missing")
     # finite instances are Archimedean and atomic, but both are computed
-    for x in E.elements():
-        if x != E.zero:
-            element_order(E, x)
-    if any(x != E.zero and not (order.down[x] & _atom_mask(order))
-           for x in E.elements()):
+    arch = is_archimedean(E)
+    if not arch:
+        raise HypothesisViolated("archimedean",
+                                 f"multiples of {arch.witness[0]} cycle")
+    if not is_atomic(E):
         raise HypothesisViolated("atomic", "an element dominates no atom")
     smask = sharp_mask(E)
     if smask == (1 << E.size) - 1:
@@ -491,9 +481,3 @@ def state_via_exstate_procedure(E: FiniteEffectAlgebra) -> ExstateOutcome:
         atom=a, atom_order=n_a, branch=branch,
         dichotomy_checks=tuple(checks), central=c))
 
-
-def _atom_mask(order) -> int:
-    m = 0
-    for a in order.atoms:
-        m |= 1 << a
-    return m

@@ -1,8 +1,10 @@
 """Derived substructures and classifications of a finite effect algebra.
 
 Sharp elements, Mackey compatibility, blocks, the two centers, modularity
-and distributivity, finite and compact elements, sharp upper/lower bounds,
-section involutions, and the flag classifier.
+and distributivity, atomicity (is_atomic) and Archimedeanity
+(is_archimedean), finite and compact elements, sharp upper/lower bounds,
+section involutions, and the flag classifier.  Each property has one
+definition here; the claim registry and the state procedures call it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
 __all__ = [
     "ElementSubset",
     "CheckResult",
-    "Flag",
     "ClassificationFlags",
     "sharp_elements",
     "sharp_mask",
@@ -45,6 +46,8 @@ __all__ = [
     "is_modular",
     "is_distributive",
     "mv_identity_holds",
+    "is_atomic",
+    "is_archimedean",
     "finite_elements",
     "is_lattice_ideal",
     "is_compact",
@@ -333,6 +336,36 @@ def mv_identity_holds(E: FiniteEffectAlgebra) -> CheckResult:
     return CheckResult(True)
 
 
+def is_atomic(E: FiniteEffectAlgebra) -> CheckResult:
+    """Every nonzero element dominates an atom; witness (x,)."""
+    order = derive_order(E)
+    for x in E.elements():
+        if x != E.zero and not (order.down[x] & order.atom_mask):
+            return CheckResult(False, (x,))
+    return CheckResult(True)
+
+
+def is_archimedean(E: FiniteEffectAlgebra) -> CheckResult:
+    """Every nonzero element has finitely many defined multiples.
+
+    The multiples walk is guarded: a cycle (possible only on corrupt
+    tables) is reported as the witness (x,) instead of looping forever.
+    """
+    for x in E.elements():
+        if x == E.zero:
+            continue
+        acc, steps = x, 1
+        while True:
+            nxt = E.sum[acc][x]
+            if nxt is None:
+                break
+            acc = nxt
+            steps += 1
+            if steps > E.size:
+                return CheckResult(False, (x,))
+    return CheckResult(True)
+
+
 def finite_elements(E: FiniteEffectAlgebra) -> ElementSubset:
     """Zero plus everything reachable as an iterated sum of atoms.
 
@@ -376,32 +409,17 @@ def is_lattice_ideal(E: FiniteEffectAlgebra, S: ElementSubset) -> CheckResult:
     return CheckResult(True)
 
 
-def is_compact(E: FiniteEffectAlgebra, u: int, cap: int = DEFAULT_COMPACT_CAP) -> bool:
-    """Definitional compactness scan over all subsets with an existing join.
+def is_compact(E: FiniteEffectAlgebra, u: int) -> bool:
+    """Compactness of u: whenever u <= join D, some finite F inside D has
+    u <= join F.
 
-    Trivially true on finite lattices (each subset is its own finite
-    witness), but the scan is executed rather than assumed.
+    On a finite algebra every D is itself finite and so its own witness:
+    every element is compact.  The definition quantifies over all 2^n
+    subsets D, and algebras with 2^n above DEFAULT_COMPACT_CAP (more than
+    20 elements) raise CapExceeded.
     """
-    n = E.size
-    if (1 << n) > cap:
-        raise CapExceeded(f"2^{n} subsets exceed the cap {cap}")
-    order = derive_order(E)
-    up = order.up
-    for dmask in range(1, 1 << n):
-        ub = (1 << n) - 1
-        for d in bits(dmask):
-            ub &= up[d]
-        join_d = None
-        for cand in bits(ub):
-            if up[cand] & ub == ub:
-                join_d = cand
-                break
-        if join_d is None or not order.leq(u, join_d):
-            continue
-        # the definition asks for a finite F inside D with u <= join F;
-        # D is itself finite, so it is the witness, verified explicitly
-        if not order.leq(u, join_d):
-            return False
+    if (1 << E.size) > DEFAULT_COMPACT_CAP:
+        raise CapExceeded(f"2^{E.size} subsets exceed the cap {DEFAULT_COMPACT_CAP}")
     return True
 
 
@@ -499,42 +517,15 @@ def section_involution(E: FiniteEffectAlgebra, a: int, x: int) -> int:
 
 
 @dataclass(frozen=True)
-class Flag:
-    holds: bool
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.holds
-
-
-@dataclass(frozen=True)
 class ClassificationFlags:
-    is_lattice: Flag
-    is_modular: Flag
-    is_distributive: Flag
-    is_orthomodular: Flag
-    is_mv: Flag
-    is_sharply_dominating: Flag
-    is_atomic: Flag
-    is_archimedean: Flag
-
-
-def _archimedean_flag(E: FiniteEffectAlgebra) -> Flag:
-    # guarded multiple-walk; a cycle (possible only on corrupt tables) is
-    # reported as a witness instead of crashing
-    for x in E.elements():
-        if x == E.zero:
-            continue
-        acc, steps = x, 1
-        while True:
-            nxt = E.sum[acc][x]
-            if nxt is None:
-                break
-            acc = nxt
-            steps += 1
-            if steps > E.size:
-                return Flag(False, (x,))
-    return Flag(True)
+    is_lattice: CheckResult
+    is_modular: CheckResult
+    is_distributive: CheckResult
+    is_orthomodular: CheckResult
+    is_mv: CheckResult
+    is_sharply_dominating: CheckResult
+    is_atomic: CheckResult
+    is_archimedean: CheckResult
 
 
 def classify(E: FiniteEffectAlgebra) -> ClassificationFlags:
@@ -542,46 +533,40 @@ def classify(E: FiniteEffectAlgebra) -> ClassificationFlags:
     order = derive_order(E)
 
     if order.is_lattice:
-        lat = Flag(True)
+        lat = CheckResult(True)
+        modular = is_modular(E)
+        distributive = is_distributive(E)
     else:
         bad = next((x, y) for x in E.elements() for y in E.elements()
                    if order.join[x][y] is None or order.meet[x][y] is None)
-        lat = Flag(False, bad)
-
-    if lat:
-        mod = is_modular(E)
-        modular = Flag(mod.holds, mod.witness)
-        dis = is_distributive(E)
-        distributive = Flag(dis.holds, dis.witness)
-    else:
-        modular = Flag(False, ("not-a-lattice",) + lat.witness)
-        distributive = Flag(False, ("not-a-lattice",) + lat.witness)
+        lat = CheckResult(False, bad)
+        modular = distributive = CheckResult(False, ("not-a-lattice",) + bad)
 
     smask = sharp_mask(E)
     full = (1 << E.size) - 1
     if not lat:
-        oml = Flag(False, ("not-a-lattice",) + lat.witness)
+        oml = CheckResult(False, ("not-a-lattice",) + lat.witness)
     elif smask != full:
-        oml = Flag(False, (next(bits(full & ~smask)),))
+        oml = CheckResult(False, (next(bits(full & ~smask)),))
     else:
-        oml = Flag(True)
+        oml = CheckResult(True)
 
     if lat:
         blist = blocks(E)
         if len(blist) == 1:
-            mv = Flag(True)
+            mv = CheckResult(True)
         else:
             adj = compatibility_adjacency(E)
             pair = next((x, y) for x in E.elements() for y in E.elements()
                         if x < y and not (adj[x] >> y & 1))
-            mv = Flag(False, pair)
+            mv = CheckResult(False, pair)
         ident = mv_identity_holds(E)
         if mv.holds != ident.holds:
             raise InternalCheckFailed(
                 f"single-block test ({mv.holds}) disagrees with the difference "
                 f"identity ({ident.holds}, witness {ident.witness})")
     else:
-        mv = Flag(False, ("not-a-lattice",) + lat.witness)
+        mv = CheckResult(False, ("not-a-lattice",) + lat.witness)
 
     sd_witness = None
     for x in E.elements():
@@ -590,17 +575,7 @@ def classify(E: FiniteEffectAlgebra) -> ClassificationFlags:
         if isinstance(got, list):
             sd_witness = (x, tuple(got))
             break
-    sharply_dominating = Flag(sd_witness is None, sd_witness)
-
-    atom_mask = 0
-    for a in order.atoms:
-        atom_mask |= 1 << a
-    at_witness = None
-    for x in E.elements():
-        if x != E.zero and not (order.down[x] & atom_mask):
-            at_witness = (x,)
-            break
-    atomic = Flag(at_witness is None, at_witness)
+    sharply_dominating = CheckResult(sd_witness is None, sd_witness)
 
     return ClassificationFlags(
         is_lattice=lat,
@@ -609,6 +584,6 @@ def classify(E: FiniteEffectAlgebra) -> ClassificationFlags:
         is_orthomodular=oml,
         is_mv=mv,
         is_sharply_dominating=sharply_dominating,
-        is_atomic=atomic,
-        is_archimedean=_archimedean_flag(E),
+        is_atomic=is_atomic(E),
+        is_archimedean=is_archimedean(E),
     )

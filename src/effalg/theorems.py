@@ -34,6 +34,8 @@ from .structure import (
     compatible,
     finite_elements,
     greatest_sharp_under,
+    is_archimedean,
+    is_atomic,
     is_compact,
     is_lattice_ideal,
     is_modular,
@@ -69,31 +71,6 @@ def _h_lattice(E):
 
 def _h_modular(E):
     return _h_lattice(E) and bool(is_modular(E))
-
-
-def _h_archimedean(E):
-    for x in E.elements():
-        if x == E.zero:
-            continue
-        acc, steps = x, 1
-        while True:
-            nxt = E.sum[acc][x]
-            if nxt is None:
-                break
-            acc = nxt
-            steps += 1
-            if steps > E.size:
-                return False
-    return True
-
-
-def _h_atomic(E):
-    order = derive_order(E)
-    amask = 0
-    for a in order.atoms:
-        amask |= 1 << a
-    return all(x == E.zero or (order.down[x] & amask)
-               for x in E.elements())
 
 
 def _h_unsharp(E):
@@ -236,36 +213,28 @@ def _join_sum_pairs(E):
     return True, None
 
 
-def _interval_atomic(E, z):
-    sub = interval(E, E.zero, z)
-    order = derive_order(sub)
-    amask = 0
-    for a in order.atoms:
-        amask |= 1 << a
-    return all(x == sub.zero or (order.down[x] & amask)
-               for x in sub.elements())
+def _join_of(order, mask):
+    """Least upper bound of the elements in mask, or None."""
+    ub = (1 << order.n) - 1
+    for d in bits(mask):
+        ub &= order.up[d]
+    return next((c for c in bits(ub) if order.up[c] & ub == ub), None)
+
+
+def _atomic_below_joins(E, mask):
+    """Every nonzero z that is the join of the elements of mask below it
+    has an atomic interval [0, z]; witness (z,)."""
+    order = derive_order(E)
+    for z in E.elements():
+        if z == E.zero or _join_of(order, order.down[z] & mask) != z:
+            continue  # hypothesis of the claim fails at this z
+        if not is_atomic(interval(E, E.zero, z)):
+            return False, (z,)
+    return True, None
 
 
 def _atomic_from_finite_joins(E):
-    order = derive_order(E)
-    F = finite_elements(E)
-    for z in E.elements():
-        if z == E.zero:
-            continue
-        fz = order.down[z] & F.mask
-        least_upper = None
-        ub = (1 << E.size) - 1
-        for d in bits(fz):
-            ub &= order.up[d]
-        for cand in bits(ub):
-            if order.up[cand] & ub == ub:
-                least_upper = cand
-                break
-        if least_upper != z:
-            continue  # hypothesis of the claim fails at this z
-        if not _interval_atomic(E, z):
-            return False, (z,)
-    return True, None
+    return _atomic_below_joins(E, finite_elements(E).mask)
 
 
 def _block_algebra(E, blk) -> FiniteEffectAlgebra:
@@ -281,18 +250,8 @@ def _block_algebra(E, blk) -> FiniteEffectAlgebra:
 
 def _h_some_block_archimedean_atomic(E):
     """At least one block, viewed as an algebra, is Archimedean and atomic."""
-    return any(_h_archimedean(B) and _h_atomic(B)
+    return any(is_archimedean(B) and is_atomic(B)
                for B in (_block_algebra(E, blk) for blk in blocks(E)))
-
-
-def _atomic_from_block(E):
-    order = derive_order(E)
-    amask = 0
-    for a in order.atoms:
-        amask |= 1 << a
-    bad = next((x for x in E.elements()
-                if x != E.zero and not (order.down[x] & amask)), None)
-    return bad is None, None if bad is None else (bad,)
 
 
 def _sharp_is_atomic_oml(E):
@@ -323,25 +282,14 @@ def _sharp_is_atomic_oml(E):
 
 def _atom_below_compact(E):
     order = derive_order(E)
-    amask = 0
-    for a in order.atoms:
-        amask |= 1 << a
     for u in _compact_set(E):
-        if u != E.zero and not (order.down[u] & amask):
-            return False, (u,)
-    return True, None
-
-
-def _compact_join_of_finite(E):
-    F = finite_elements(E)
-    for u in _compact_set(E):
-        # u is itself finite here, so {u} is the finite join
-        if u not in F:
+        if u != E.zero and not (order.down[u] & order.atom_mask):
             return False, (u,)
     return True, None
 
 
 def _compact_finite(E):
+    # a finite compact u is also the finite join {u} of finite elements
     F = finite_elements(E)
     for u in _compact_set(E):
         if u not in F:
@@ -350,26 +298,8 @@ def _compact_finite(E):
 
 
 def _atomic_from_compact_joins(E):
-    order = derive_order(E)
-    compact = _compact_set(E)
-    cm = 0
-    for u in compact:
-        cm |= 1 << u
-    for z in E.elements():
-        if z == E.zero:
-            continue
-        cz = order.down[z] & cm
-        ub = (1 << E.size) - 1
-        for d in bits(cz):
-            ub &= order.up[d]
-        least = next((c for c in bits(ub) if order.up[c] & ub == ub), None)
-        if least != z:
-            continue
-        if not _interval_atomic(E, z):
-            return False, (z,)
-        if z == E.one and not _h_atomic(E):
-            return False, ("top",)
-    return True, None
+    # at z = 1 the interval [0, 1] is E itself, so the top case is included
+    return _atomic_below_joins(E, sum(1 << u for u in _compact_set(E)))
 
 
 def _center_identity(E):
@@ -461,8 +391,8 @@ class _Claim:
 
 _H_LAT = ("lattice", _h_lattice)
 _H_MOD = ("modular", _h_modular)
-_H_ARCH = ("archimedean", _h_archimedean)
-_H_ATOM = ("atomic", _h_atomic)
+_H_ARCH = ("archimedean", is_archimedean)
+_H_ATOM = ("atomic", is_atomic)
 _H_UNSHARP = ("unsharp elements exist", _h_unsharp)
 
 _REGISTRY: dict[str, _Claim] = {
@@ -504,7 +434,7 @@ _REGISTRY: dict[str, _Claim] = {
         "atomic",
         (_H_LAT, _H_MOD,
          ("some block archimedean and atomic", _h_some_block_archimedean_atomic)),
-        _atomic_from_block),
+        is_atomic),
     "sharp.atomic_oml": _Claim(
         "the sharp elements of a modular Archimedean atomic lattice "
         "instance form an atomic orthomodular lattice inside it",
@@ -515,7 +445,7 @@ _REGISTRY: dict[str, _Claim] = {
     "compact.join_of_finite": _Claim(
         "compact elements of Archimedean lattice instances are finite "
         "joins of finite elements",
-        (_H_LAT, _H_ARCH), _compact_join_of_finite),
+        (_H_LAT, _H_ARCH), _compact_finite),
     "compact.finite_in_modular": _Claim(
         "compact elements of modular Archimedean lattice instances are "
         "finite",

@@ -214,8 +214,8 @@ def test_criterion_08_hat_formula():
     with _Timer(60.0) as t:
         checked = 0
         for E in all_instances(6, modular_only=True):
-            from effalg.theorems import _h_atomic
-            if not _h_atomic(E):
+            from effalg.structure import is_atomic
+            if not is_atomic(E):
                 continue
             for x in E.elements():
                 assert sharp_hat_formula(E, x) == smallest_sharp_over(E, x)

@@ -193,9 +193,8 @@ class TestEnumerateCommand:
         assert code == 6 and cp.exists()
         code, out = run_cli("enumerate", "7", "--checkpoint", str(cp), "--json")
         assert code == 0
-        # resumed run only counts the classes not already covered before the
-        # cut, so the total must not exceed the full count
-        assert 0 < json.loads(out)["count"] <= 14
+        # the resumed run reports the count of the whole enumeration
+        assert json.loads(out)["count"] == 14
 
     def test_show_prints_files(self):
         code, out = run_cli("enumerate", "3", "--show")
@@ -206,6 +205,71 @@ class TestEnumerateCommand:
         assert json.loads(out)["count"] == 9  # the hexagon family drops out
         code, out = run_cli("enumerate", "6", "--modular-only", "--json")
         assert json.loads(out)["count"] == 5
+
+
+class TestCheckpoints:
+    """A checkpoint that does not fit the command exits 3 with one line."""
+
+    def cut(self, tmp_path, *argv):
+        cp = tmp_path / "cp.json"
+        code, _ = run_cli(*argv, "--checkpoint", str(cp))
+        assert code == 6 and cp.exists()
+        return str(cp)
+
+    def assert_rejected(self, *argv):
+        code, out = run_cli(*argv)
+        assert code == 3
+        assert out.startswith("checkpoint error:") and out.count("\n") == 1
+
+    def test_enumeration_checkpoint_is_no_stateless_one(self, tmp_path):
+        cp = self.cut(tmp_path, "enumerate", "7", "--budget-nodes", "40")
+        self.assert_rejected("enumerate", "6", "--find-stateless",
+                             "--checkpoint", cp)
+
+    def test_stateless_checkpoint_is_no_enumeration_one(self, tmp_path):
+        cp = self.cut(tmp_path, "enumerate", "8", "--find-stateless",
+                      "--budget-nodes", "3000")
+        self.assert_rejected("enumerate", "8", "--checkpoint", cp)
+
+    def test_checkpoint_of_another_size(self, tmp_path):
+        cp = self.cut(tmp_path, "enumerate", "7", "--budget-nodes", "40")
+        self.assert_rejected("enumerate", "6", "--checkpoint", cp)
+
+    def test_checkpoint_under_other_filters(self, tmp_path):
+        cp = self.cut(tmp_path, "enumerate", "8", "--lattice-only",
+                      "--budget-nodes", "1000")
+        self.assert_rejected("enumerate", "8", "--checkpoint", cp)
+
+    def test_not_json(self, tmp_path):
+        cp = tmp_path / "cp.json"
+        cp.write_text("garbage")
+        self.assert_rejected("enumerate", "5", "--checkpoint", str(cp))
+
+    def test_json_error_line(self, tmp_path):
+        cp = tmp_path / "cp.json"
+        cp.write_text("[]")
+        code, out = run_cli("enumerate", "5", "--checkpoint", str(cp), "--json")
+        assert code == 3 and "checkpoint" in json.loads(out)["error"]
+
+    # each cut comes after some classes were yielded (8 and 10)
+    @pytest.mark.parametrize("filters,nodes,full", [
+        ((), "1000", 40), (("--lattice-only",), "3000", 25)])
+    def test_resumed_count_is_the_whole_count(self, tmp_path, filters, nodes,
+                                              full):
+        cp = self.cut(tmp_path, "enumerate", "8", *filters,
+                      "--budget-nodes", nodes)
+        code, out = run_cli("enumerate", "8", *filters, "--checkpoint", cp,
+                            "--json")
+        assert code == 0 and json.loads(out)["count"] == full
+
+    def test_resumed_stateless_search_counts_every_class(self, tmp_path):
+        cp = self.cut(tmp_path, "enumerate", "8", "--find-stateless",
+                      "--budget-nodes", "3000")
+        code, out = run_cli("enumerate", "8", "--find-stateless",
+                            "--checkpoint", cp, "--json")
+        assert code == 0
+        # 1 + 1 + 3 + 4 + 10 + 14 + 40 classes of sizes 2 to 8
+        assert json.loads(out)["checked"] == 73
 
 
 class TestTheoremsCommand:

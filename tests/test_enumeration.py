@@ -18,7 +18,7 @@ from effalg.enumeration import (
     for_all,
     is_isomorphic,
 )
-from effalg.errors import BudgetExceeded
+from effalg.errors import BudgetExceeded, CheckpointError
 from effalg.states import StateVector, find_state, fm_feasible, state_system
 from oracle_frame_min import frame_min_key
 from oracle_naive import naive_classes
@@ -172,6 +172,16 @@ class TestBudgets:
         # size 8 alone takes exactly 17,241 nodes; sizes 5-7 take 1,360 more
         with pytest.raises(BudgetExceeded):
             find_stateless(8, node_budget=17241)
+
+    def test_stateless_checkpoint_must_have_cleared_the_sizes_below(self):
+        with pytest.raises(BudgetExceeded) as info:
+            find_stateless(8, node_budget=3000)
+        cp = info.value.checkpoint
+        assert cp["size"] == 8
+        with pytest.raises(CheckpointError):
+            find_stateless(8, checkpoint=dict(cp, cleared_sizes=[2, 3]))
+        with pytest.raises(CheckpointError):
+            find_stateless(7, checkpoint=cp)
 
     def test_worker_past_the_deadline_reports_exhaustion(self):
         f = _f_values(7)[0]

@@ -89,6 +89,21 @@ class TestDimension:
         E = algebra_from_sums(3, 0, 2, [(1, 1, 2), (2, 2, 2)])
         assert state_space_dimension(E) == -1
 
+    def test_one_lp_per_element(self, monkeypatch):
+        import effalg.states
+
+        calls = []
+        solve = effalg.states.solve_standard
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(effalg.states, "solve_standard", counted)
+        E = horizontal_sum([boolean_algebra(2), chain(4), chain(5)])
+        assert state_space_dimension(E) == 1
+        assert 0 < len(calls) <= E.size
+
     def test_stateless_fixture_dimension(self):
         from pathlib import Path
 

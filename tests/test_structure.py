@@ -2,8 +2,10 @@
 
 import pytest
 
+from conftest import algebra_from_sums
+from effalg.construct import boolean_algebra
 from effalg.core import derive_order, element_order, orthosupplement
-from effalg.errors import HypothesisViolated, NoMinimum, NotInSection
+from effalg.errors import CapExceeded, HypothesisViolated, NoMinimum, NotInSection
 from effalg.structure import (
     ElementSubset,
     atom_decomposition,
@@ -14,6 +16,8 @@ from effalg.structure import (
     compatible,
     finite_elements,
     greatest_sharp_under,
+    is_archimedean,
+    is_atomic,
     is_compact,
     is_lattice_ideal,
     is_modular,
@@ -150,6 +154,10 @@ class TestCompact:
         assert is_compact(b2, 1)
         assert is_compact(c4, 2)
 
+    def test_more_than_twenty_elements_exceed_the_cap(self):
+        with pytest.raises(CapExceeded):
+            is_compact(boolean_algebra(5), 0)
+
 
 class TestSharpBounds:
     def test_e5_unsharp_atom(self, e5):
@@ -269,6 +277,17 @@ class TestClassify:
                          "is_atomic", "is_archimedean"):
                 flag = getattr(flags, name)
                 assert flag.holds == (flag.witness is None)
+
+    def test_atomic_and_archimedean_match_the_flags(self, corpus, hex6):
+        for E in corpus + [hex6]:
+            flags = classify(E)
+            assert tuple(is_atomic(E)) == tuple(flags.is_atomic)
+            assert tuple(is_archimedean(E)) == tuple(flags.is_archimedean)
+
+    def test_cycling_multiples_are_the_archimedean_witness(self):
+        # a corrupt table with b + b = b: the multiples of b never end
+        E = algebra_from_sums(3, 0, 2, [(1, 1, 1)])
+        assert tuple(is_archimedean(E)) == (False, (1,))
 
     def test_mv_witness_is_incompatible_pair(self, e5, hs2):
         for E in (e5, hs2):

@@ -111,7 +111,8 @@ class UnknownClaim(EffectAlgebraError):
 
 
 class BudgetExceeded(EffectAlgebraError):
-    """Search budget exhausted; carries a resumable checkpoint."""
+    """Search budget exhausted; carries a resumable checkpoint, or None
+    where the command keeps none (theorems --sweep)."""
 
     def __init__(self, checkpoint, cleared_sizes=()):
         super().__init__("enumeration budget exceeded")

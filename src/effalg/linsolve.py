@@ -9,13 +9,20 @@ Two independent decision routes:
   as an oracle for the simplex on small systems.
 
 Everything works on the standard form  A x = b, x >= 0; callers add slack
-variables for inequalities and upper bounds.
+variables for inequalities and upper bounds.  Phase 1 starts from those
+slacks: a column that is the unit vector e_i of row i (after a row with
+b_i < 0 is negated) is basic in row i from the start, and only the other
+rows get an artificial column.
+
+row_basis picks a maximal independent set of rows, first in row order, by
+fraction-free elimination (Bareiss 1968, Math. Comp. 22); matrix_rank is
+its size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import CapExceeded
@@ -26,6 +33,7 @@ __all__ = [
     "verify_farkas",
     "fourier_motzkin_feasible",
     "matrix_rank",
+    "row_basis",
     "FM_VARIABLE_CAP",
 ]
 
@@ -92,25 +100,38 @@ def solve_standard(A, b, c=None) -> SimplexResult:
     m = len(A)
     n = len(A[0]) if m else 0
     signs = [ONE if b[i] >= 0 else -ONE for i in range(m)]
-    tab = [[signs[i] * Fraction(v) for v in A[i]] + [ZERO] * m + [signs[i] * Fraction(b[i])]
-           for i in range(m)]
-    for i in range(m):
-        tab[i][n + i] = ONE
-    basis = [n + i for i in range(m)]
+    rows = [[signs[i] * Fraction(v) for v in A[i]] for i in range(m)]
+    # a row starts from its first unit column (a slack) where it has one,
+    # and from an artificial column otherwise
+    basis = [None] * m
+    for j in range(n):
+        hits = [i for i in range(m) if rows[i][j] != 0]
+        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
+            basis[hits[0]] = j
+    art = [i for i in range(m) if basis[i] is None]
+    width = n + len(art)
+    tab = [rows[i] + [ZERO] * len(art) + [signs[i] * Fraction(b[i])] for i in range(m)]
+    for t, i in enumerate(art):
+        tab[i][n + t] = ONE
+        basis[i] = n + t
+    start = list(basis)
 
     # phase 1: minimize the artificial total
-    obj = [ZERO] * (n + m + 1)
-    for j in range(n + m + 1):
-        obj[j] = -sum(tab[i][j] for i in range(m))
-    for i in range(m):
-        obj[n + i] += ONE
-    allowed = list(range(n + m))
-    status = _run_pivots(tab, obj, basis, allowed)
+    obj = [ZERO] * (width + 1)
+    for i in art:
+        for j, v in enumerate(tab[i]):
+            if v != 0:
+                obj[j] -= v
+    for t in range(len(art)):
+        obj[n + t] += ONE
+    status = _run_pivots(tab, obj, basis, list(range(width)))
     assert status == "optimal", "phase 1 is bounded below by zero"
     infeas = -obj[-1]
     if infeas > 0:
-        # reduced cost under artificial k is 1 - y_k
-        lam = tuple(signs[i] * (ONE - obj[n + i]) for i in range(m))
+        # reduced cost under a starting column k of row i is cost_k - y_i,
+        # with cost 1 for an artificial and 0 for a slack
+        lam = tuple(signs[i] * ((ONE if k >= n else ZERO) - obj[k])
+                    for i, k in enumerate(start))
         return SimplexResult("infeasible", farkas=lam)
 
     # drive leftover artificials out of the basis where possible
@@ -132,13 +153,11 @@ def solve_standard(A, b, c=None) -> SimplexResult:
 
     # phase 2 over the real objective; artificial columns stay out
     cost = [Fraction(v) for v in c]
-    obj = [ZERO] * (n + m + 1)
-    for j in range(n):
-        obj[j] = cost[j]
+    obj = cost + [ZERO] * (width + 1 - n)
     for i, bi in enumerate(basis):
         if bi < n and cost[bi] != 0:
             f = cost[bi]
-            for j in range(n + m + 1):
+            for j in range(width + 1):
                 obj[j] -= f * tab[i][j]
     status = _run_pivots(tab, obj, basis, list(range(n)))
     if status.startswith("unbounded"):
@@ -159,22 +178,22 @@ def verify_farkas(A, b, lam) -> bool:
     return sum(li * bi for li, bi in zip(lam, b)) > 0
 
 
-def _normalize(coeffs, rhs):
-    """Scale a <=-row by a positive rational to integer, gcd-1 form."""
+def _integer_row(values):
+    """Scale a rational row by a positive rational to integer, gcd-1 form."""
     denom = 1
-    for v in coeffs:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    denom = denom * rhs.denominator // gcd(denom, rhs.denominator)
-    ints = [int(v * denom) for v in coeffs]
-    r = int(rhs * denom)
+    for v in values:
+        denom = lcm(denom, v.denominator)
+    ints = [int(v * denom) for v in values]
     g = 0
     for v in ints:
-        g = gcd(g, abs(v))
-    g = gcd(g, abs(r))
-    if g > 1:
-        ints = [v // g for v in ints]
-        r //= g
-    return tuple(ints), r
+        g = gcd(g, v)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _normalize(coeffs, rhs):
+    """Scale a <=-row by a positive rational to integer, gcd-1 form."""
+    ints = _integer_row(list(coeffs) + [rhs])
+    return tuple(ints[:-1]), ints[-1]
 
 
 def fourier_motzkin_feasible(rows, n_vars) -> bool:
@@ -230,22 +249,30 @@ def fourier_motzkin_feasible(rows, n_vars) -> bool:
     return all(r >= 0 for _, r in system)
 
 
+def row_basis(rows) -> list[int]:
+    """Indices of the first maximal independent set of rational rows.
+
+    A row is kept when it is independent of the rows kept before it.  Each
+    row, scaled to integers, is reduced against the kept rows in turn by
+    Bareiss's fraction-free step: the division by the previous pivot is
+    exact, so entries stay integers the size of the matrix's minors.
+    """
+    kept = []  # (pivot column, reduced row) of each kept row
+    out = []
+    for idx, row in enumerate(rows):
+        r = _integer_row([Fraction(v) for v in row])
+        prev = 1
+        for col, pivot_row in kept:
+            p, f = pivot_row[col], r[col]
+            r = [(p * a - f * q) // prev for a, q in zip(r, pivot_row)]
+            prev = p
+        col = next((j for j, v in enumerate(r) if v != 0), None)
+        if col is not None:
+            kept.append((col, r))
+            out.append(idx)
+    return out
+
+
 def matrix_rank(rows) -> int:
-    """Rank of a rational matrix by fraction-exact Gaussian elimination."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = ONE / prow[col]
-        mat[rank] = prow = [v * inv for v in prow]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * p for a, p in zip(mat[i], prow)]
-        rank += 1
-    return rank
+    """Rank of a rational matrix."""
+    return len(row_basis(rows))

@@ -24,7 +24,7 @@ from .errors import (
     NotCentral,
     NotLattice,
 )
-from .linsolve import ZERO, ONE, SimplexResult, matrix_rank, solve_standard
+from .linsolve import ZERO, ONE, SimplexResult, matrix_rank, row_basis, solve_standard
 from .structure import (
     center,
     compatibility_center,
@@ -202,35 +202,77 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     )
 
 
-def _to_standard(sys: LinearSystem):
-    """Standard form A z = b, z >= 0 with z = (w, upper slacks, ineq slacks)."""
-    n = sys.n_vars
-    k = len(sys.ineq_rows)
-    width = 2 * n + k
-    A, b = [], []
+def _implied_bounds(sys: LinearSystem) -> set[int]:
+    """Variables whose bound w_i <= 1 the equality rows imply, given w >= 0.
+
+    A unit row w_u = r with r <= 1 bounds w_u.  When w_u = 1 is such a row,
+    a complement row sum a_j w_j = w_u with every a_j >= 1, such as
+    w(x) + w(x') = w(one), bounds each of its w_j.
+    """
+    out, ones = set(), set()
     for coeffs, rhs in sys.eq_rows:
-        A.append(list(coeffs) + [ZERO] * (n + k))
+        support = [j for j, v in enumerate(coeffs) if v != 0]
+        if len(support) == 1 and coeffs[support[0]] == 1 and rhs <= 1:
+            out.add(support[0])
+            if rhs == 1:
+                ones.add(support[0])
+    for coeffs, rhs in sys.eq_rows:
+        neg = [u for u, v in enumerate(coeffs) if v < 0]
+        if (rhs == 0 and len(neg) == 1 and coeffs[neg[0]] == -1
+                and neg[0] in ones and all(v >= 1 for v in coeffs if v > 0)):
+            out.update(j for j, v in enumerate(coeffs) if v > 0)
+    return out
+
+
+def _to_standard(sys: LinearSystem):
+    """Standard form A z = b, z >= 0 of the presolved system.
+
+    The equality rows kept are the first basis of [coeffs | rhs] (so an
+    inconsistent system keeps a row that contradicts the others), and a
+    bound row w_i <= 1 is kept only where the equalities do not imply it.
+    Returns A, b and the indices of the kept equality rows and bounds;
+    z = (w, slacks of the kept bounds, ineq slacks).
+    """
+    n = sys.n_vars
+    eqs = row_basis([coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
+    implied = _implied_bounds(sys)
+    bounds = [i for i in range(n) if i not in implied]
+    k = len(sys.ineq_rows)
+    slacks = len(bounds) + k
+    A, b = [], []
+    for i in eqs:
+        coeffs, rhs = sys.eq_rows[i]
+        A.append(list(coeffs) + [ZERO] * slacks)
         b.append(rhs)
-    for i in range(n):
-        rw = [ZERO] * width
+    for t, i in enumerate(bounds):
+        rw = [ZERO] * (n + slacks)
         rw[i] = ONE
-        rw[n + i] = ONE
+        rw[n + t] = ONE
         A.append(rw)
         b.append(ONE)
-    for j, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        A.append(list(coeffs) + [ZERO] * n + [ONE if t == j else ZERO for t in range(k)])
+    for t, (coeffs, rhs) in enumerate(sys.ineq_rows, start=len(bounds)):
+        rw = list(coeffs) + [ZERO] * slacks
+        rw[n + t] = ONE
+        A.append(rw)
         b.append(rhs)
-    return A, b
+    return A, b, eqs, bounds
 
 
-def _certificate(sys: LinearSystem, farkas) -> InfeasibilityCertificate:
-    ne = len(sys.eq_rows)
-    n = sys.n_vars
+def _certificate(sys: LinearSystem, farkas, eqs, bounds) -> InfeasibilityCertificate:
+    """The certificate over the whole system: multipliers of the presolved
+    rows in place, 0 on every dropped row."""
+    lam = iter(farkas)
+    eq_mult = [ZERO] * len(sys.eq_rows)
+    for i in eqs:
+        eq_mult[i] = next(lam)
+    bound_mult = [ZERO] * sys.n_vars
+    for i in bounds:
+        bound_mult[i] = next(lam)
     cert = InfeasibilityCertificate(
         system=sys,
-        eq_mult=tuple(farkas[:ne]),
-        bound_mult=tuple(farkas[ne:ne + n]),
-        ineq_mult=tuple(farkas[ne + n:]),
+        eq_mult=tuple(eq_mult),
+        bound_mult=tuple(bound_mult),
+        ineq_mult=tuple(lam),
     )
     if not cert.verify():
         raise InternalCheckFailed("solver produced a certificate that fails "
@@ -239,10 +281,10 @@ def _certificate(sys: LinearSystem, farkas) -> InfeasibilityCertificate:
 
 
 def _solve(E, sys: LinearSystem):
-    A, b = _to_standard(sys)
+    A, b, eqs, bounds = _to_standard(sys)
     res = solve_standard(A, b)
     if res.status == "infeasible":
-        return _certificate(sys, res.farkas)
+        return _certificate(sys, res.farkas, eqs, bounds)
     state = StateVector(E, tuple(res.x[:sys.n_vars]))
     bad = verify_state(E, state, require_subadditive=bool(sys.ineq_rows))
     if bad:
@@ -267,18 +309,16 @@ def find_subadditive_state(E: FiniteEffectAlgebra):
 def state_space_dimension(E: FiniteEffectAlgebra) -> int:
     """Affine dimension of the state polytope; -1 when it is empty.
 
-    The bounds w <= 1 follow from w(x) + w(x') = 1 and w >= 0, so the
-    polytope is {eq_rows . w = rhs, w >= 0}.  Its affine hull adds w_j = 0
-    for every j whose maximum over the polytope is 0: one LP per variable,
-    the first of which also decides feasibility.
+    The LP is the presolved one of find_state.  The affine hull adds
+    w_j = 0 for every j whose maximum over the polytope is 0: one LP per
+    variable, the first of which also decides feasibility.
     """
     sys = state_system(E, subadditive=False)
-    A = [list(coeffs) for coeffs, _ in sys.eq_rows]
-    b = [rhs for _, rhs in sys.eq_rows]
+    A, b, eqs, _ = _to_standard(sys)
     n = sys.n_vars
-    rows = [list(r) for r in A]
+    rows = [sys.eq_rows[i][0] for i in eqs]
     for j in range(n):
-        c = [ZERO] * n
+        c = [ZERO] * len(A[0])
         c[j] = -ONE
         res = solve_standard(A, b, c)
         if res.status == "infeasible":

@@ -15,12 +15,13 @@ accounting honest.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from .construct import central_decomposition, interval
 from .core import FiniteEffectAlgebra, bits, derive_order, difference, validate
-from .errors import EffectAlgebraError, UnknownClaim
+from .errors import BudgetExceeded, EffectAlgebraError, UnknownClaim
 from .states import (
     StateVector,
     find_subadditive_state,
@@ -564,12 +565,17 @@ def sweep(config, claim_ids) -> list[SweepResult]:
 
     Returns one result per claim, in the given order.  A claim stops at its
     first counterexample, and the pass ends once every claim has failed.
+    The config's time budget bounds the claim checks too: the deadline is
+    read after each instance, and BudgetExceeded (with no checkpoint) ends
+    a sweep that has passed it.
     """
     from .enumeration import enumerate_algebras
 
     for cid in claim_ids:
         if cid not in _REGISTRY:
             raise UnknownClaim(cid)
+    deadline = (None if config.time_budget is None
+                else time.monotonic() + config.time_budget)
     checked = dict.fromkeys(claim_ids, 0)
     met = dict.fromkeys(claim_ids, 0)
     failures = {}
@@ -585,6 +591,8 @@ def sweep(config, claim_ids) -> list[SweepResult]:
         live = [cid for cid in live if cid not in failures]
         if not live:
             break
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(None)
     return [SweepResult(cid, cid not in failures, failures.get(cid),
                         met[cid], checked[cid]) for cid in claim_ids]
 

@@ -302,6 +302,28 @@ class TestTheoremsCommand:
         code, _ = run_cli("theorems", "--sweep", "6")
         assert code == 0 and sizes == [6]
 
+    def test_sweep_stops_at_the_deadline_after_one_instance(self, monkeypatch):
+        import time
+
+        import effalg.theorems as th
+
+        # a clock that moves only while claims are checked, 10 s a check
+        clock = [0.0]
+        checked = []
+        real = th.check
+
+        def slow(E, claim_id):
+            checked.append(E)
+            clock[0] += 10
+            return real(E, claim_id)
+
+        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(th, "check", slow)
+        code, out = run_cli("theorems", "--sweep", "7", "--budget-seconds", "5")
+        assert code == 6 and "budget exhausted" in out
+        assert len(checked) == len(th.CLAIM_IDS)
+        assert len({E.sum for E in checked}) == 1
+
     def test_corrupted_file_exits_2(self, tmp_path):
         path = tmp_path / "bad.alg"
         path.write_text("version 1\nelements 0 x 1\nzero 0\none 1\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from effalg.linsolve import (
     fourier_motzkin_feasible,
     matrix_rank,
+    row_basis,
     solve_standard,
     verify_farkas,
 )
@@ -78,13 +79,15 @@ class TestFourierMotzkin:
 
 @st.composite
 def small_systems(draw):
+    """Rows a.x <= r, which carry a slack column, and rows a.x = r, which
+    carry none, with right-hand sides of either sign."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     rows = []
     for _ in range(m):
         coeffs = tuple(F(draw(st.integers(-3, 3))) for _ in range(n))
         rhs = F(draw(st.integers(-4, 4)))
-        rows.append((coeffs, rhs))
+        rows.append((coeffs, rhs, draw(st.booleans())))
     return n, rows
 
 
@@ -93,18 +96,27 @@ class TestAgreement:
     @settings(max_examples=300, deadline=None)
     def test_simplex_matches_elimination(self, case):
         n, rows = case
-        # inequality system -> standard form with slack per row and split
-        # variables x = p - q so signs are free, as elimination allows
-        A, b = [], []
-        for coeffs, rhs in rows:
-            A.append([v for v in coeffs] + [-v for v in coeffs]
-                     + [F(1) if len(A) == i else F(0) for i in range(len(rows))])
+        # standard form with a slack per <=-row and split variables
+        # x = p - q, so signs are free, as elimination allows.  Phase 1
+        # starts a slacked row with b >= 0 from its slack; the other rows,
+        # and a split variable that happens to be a unit column, vary that
+        slacked = [i for i, (_, _, has_slack) in enumerate(rows) if has_slack]
+        A, b, le_rows = [], [], []
+        for i, (coeffs, rhs, has_slack) in enumerate(rows):
+            A.append(list(coeffs) + [-v for v in coeffs]
+                     + [F(1) if i == k else F(0) for k in slacked])
             b.append(rhs)
+            le_rows.append((coeffs, rhs))
+            if not has_slack:
+                le_rows.append((tuple(-v for v in coeffs), -rhs))
         res = solve_standard(A, b)
-        fm = fourier_motzkin_feasible(rows, n)
-        assert (res.status == "optimal") == fm
+        assert (res.status == "optimal") == fourier_motzkin_feasible(le_rows, n)
         if res.status == "infeasible":
             assert verify_farkas(A, b, res.farkas)
+        else:
+            assert all(v >= 0 for v in res.x)
+            assert all(sum(a * x for a, x in zip(row, res.x)) == bi
+                       for row, bi in zip(A, b))
 
 
 class TestRank:
@@ -116,3 +128,7 @@ class TestRank:
 
     def test_zero(self):
         assert matrix_rank([[F(0), F(0)]]) == 0
+
+    def test_basis_is_first_in_row_order(self):
+        rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1, 3)], [F(1), F(1)]]
+        assert row_basis(rows) == [0, 2]

@@ -7,10 +7,12 @@ import pytest
 from conftest import algebra_from_sums
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.errors import HypothesisViolated, NotCentral
+from effalg.linsolve import matrix_rank, row_basis
 from effalg.states import (
     ExstateOutcome,
     InfeasibilityCertificate,
     StateVector,
+    _to_standard,
     find_state,
     find_subadditive_state,
     fm_feasible,
@@ -23,6 +25,7 @@ from effalg.states import (
 
 F = Fraction
 HALF = F(1, 2)
+HEX6_SUMS = [(1, 1, 4), (1, 2, 3), (1, 4, 5), (2, 2, 4), (2, 3, 5)]
 
 
 class TestFindState:
@@ -53,6 +56,49 @@ class TestFindState:
         assert isinstance(got, InfeasibilityCertificate)
         assert got.verify()
         assert not fm_feasible(got.system)
+
+    def test_certificate_covers_the_unreduced_system(self):
+        # the hexagon's relations, one of them dependent, plus 1+1=1
+        E = algebra_from_sums(6, 0, 5, HEX6_SUMS + [(5, 5, 5)])
+        sys = state_system(E)
+        kept = row_basis([coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
+        dropped = [i for i in range(len(sys.eq_rows)) if i not in kept]
+        assert dropped
+        got = find_state(E)
+        assert isinstance(got, InfeasibilityCertificate)
+        assert got.system == sys and got.verify()
+        assert all(got.eq_mult[i] == 0 for i in dropped)
+        # every bound w_i <= 1 is implied, so none carries a multiplier
+        assert got.bound_mult == (F(0),) * E.size
+
+    def test_forty_element_product(self):
+        E = product([boolean_algebra(3), chain(4)])
+        got = find_state(E)
+        assert isinstance(got, StateVector)
+        assert verify_state(E, got) == []
+
+
+class TestPresolve:
+    @pytest.mark.parametrize("E, subadditive", [
+        (boolean_algebra(5), False),
+        (boolean_algebra(4), True),
+        (algebra_from_sums(6, 0, 5, HEX6_SUMS + [(5, 5, 5)]), False),
+    ], ids=["boolean5", "boolean4-subadditive", "hexagon-1+1=1"])
+    def test_tableau_is_rank_sized(self, E, subadditive):
+        sys = state_system(E, subadditive=subadditive)
+        rank = matrix_rank([coeffs for coeffs, _ in sys.eq_rows])
+        consistent = rank == matrix_rank(
+            [coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
+        A, b, eqs, bounds = _to_standard(sys)
+        assert bounds == []
+        assert len(eqs) == rank + (0 if consistent else 1)
+        assert len(A) == len(eqs) + len(sys.ineq_rows)
+
+    def test_bound_without_a_complement_row_is_kept(self):
+        # an invalid table: the middle element sums with nothing but zero
+        E = algebra_from_sums(3, 0, 2, [])
+        _, _, _, bounds = _to_standard(state_system(E))
+        assert bounds == [1]
 
 
 class TestFindSubadditive:

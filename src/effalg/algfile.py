@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .construct import build, parse_construction
 from .core import FiniteEffectAlgebra
-from .errors import EffectAlgebraError, StructuralError
+from .errors import EffectAlgebraError, InternalCheckFailed
 
 __all__ = ["AlgebraFileError", "load_algebra", "loads_algebra", "dump_algebra"]
 
@@ -49,7 +49,7 @@ def loads_algebra(text: str) -> FiniteEffectAlgebra:
             raise AlgebraFileError(f"line {lineno}: {msg}")
 
         if key == "version":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 fail("version needs a single integer")
             version = int(parts[1])
         elif key == "elements":
@@ -87,7 +87,9 @@ def loads_algebra(text: str) -> FiniteEffectAlgebra:
                 "a file holds either a table or a construction, not both")
         try:
             return build(parse_construction(construct_spec))
-        except StructuralError as exc:
+        except InternalCheckFailed:
+            raise
+        except (EffectAlgebraError, RecursionError) as exc:  # too deep a nesting
             raise AlgebraFileError(f"bad construction: {exc}") from exc
 
     if labels is None:
@@ -127,7 +129,7 @@ def load_algebra(path) -> FiniteEffectAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from exc
     return loads_algebra(text)
 

@@ -270,7 +270,7 @@ def _checked(kind, ok, want):
 
 
 _SIZE = _checked(int, lambda v: v >= 2, "an integer of at least 2")
-_NODES = _checked(int, lambda v: v > 0, "a positive integer")
+_POSITIVE = _checked(int, lambda v: v > 0, "a positive integer")
 _SECONDS = _checked(float, lambda v: v > 0, "a positive number")
 
 
@@ -281,7 +281,7 @@ def _budget(parser, args) -> dict:
     raw = os.environ.get(BUDGET_ENV)
     if nodes is None and raw:
         try:
-            nodes = _NODES(raw)
+            nodes = _POSITIVE(raw)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{BUDGET_ENV}: {exc}")
     return {"node_budget": nodes, "time_budget": args.budget_seconds,
@@ -439,12 +439,12 @@ def cmd_theorems(args) -> int:
 
 
 def _add_budget_args(p):
-    p.add_argument("--budget-nodes", type=_NODES, default=None, metavar="N",
+    p.add_argument("--budget-nodes", type=_POSITIVE, default=None, metavar="N",
                    help=f"search nodes for the whole command "
                         f"(default: ${BUDGET_ENV}, else no limit)")
     p.add_argument("--budget-seconds", type=_SECONDS, default=None, metavar="S",
                    help="seconds for the whole command")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument("--jobs", type=_POSITIVE, default=1, metavar="J")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,12 +33,19 @@ __all__ = [
     "CentralDecomposition",
 ]
 
-PRODUCT_SIZE_CAP = 4096  # keeps downstream O(n^3) scans tractable
+SIZE_CAP = 4096  # keeps downstream O(n^3) scans tractable
 _LATTICE_ASSERT_CAP = 512  # skip the O(n^3) coordinatewise-order check above this
 
 
 def _freeze(table) -> tuple:
     return tuple(tuple(row) for row in table)
+
+
+def _within_cap(n: int, what: str) -> int:
+    """n, the size of what, checked against SIZE_CAP before any table exists."""
+    if n > SIZE_CAP:
+        raise SizeOverflow(f"{what} would have {n} elements, more than {SIZE_CAP}")
+    return n
 
 
 def _checked(E: FiniteEffectAlgebra, what: str) -> FiniteEffectAlgebra:
@@ -52,8 +59,9 @@ def boolean_algebra(k: int) -> FiniteEffectAlgebra:
     """Powerset algebra on k atoms; the sum is disjoint union."""
     if k < 1:
         raise StructuralError(f"atom count {k} < 1")
-    if k > 20:
-        raise SizeOverflow(f"boolean algebra on {k} atoms is too large")
+    if k >= SIZE_CAP.bit_length():  # before 1 << k, which k could make huge
+        raise SizeOverflow(f"boolean algebra on {k} atoms has more than "
+                           f"{SIZE_CAP} elements")
     n = 1 << k
     table = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -78,7 +86,7 @@ def chain(m: int) -> FiniteEffectAlgebra:
     """The (m+1)-element chain 0 < a < 2a < ... < ma = 1; j+k defined iff <= m."""
     if m < 1:
         raise StructuralError(f"generator order {m} < 1")
-    n = m + 1
+    n = _within_cap(m + 1, f"chain({m})")
     table = [[x + y if x + y <= m else None for y in range(n)] for x in range(n)]
     labels = ["0"] + [("a" if j == 1 else f"{j}a") for j in range(1, m)] + ["1"]
     E = FiniteEffectAlgebra(size=n, zero=0, one=m,
@@ -100,6 +108,7 @@ def horizontal_sum(parts: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
         _checked(p, "horizontal_sum input")
     if len(parts) == 1:
         return parts[0]
+    _within_cap(2 + sum(p.size - 2 for p in parts), "horizontal sum")
 
     maps = []  # per part: original index -> glued index
     labels = ["0"]
@@ -153,9 +162,7 @@ def product(parts: list[FiniteEffectAlgebra]) -> FiniteEffectAlgebra:
         _checked(p, "product input")
     n = 1
     for p in parts:
-        n *= p.size
-        if n > PRODUCT_SIZE_CAP:
-            raise SizeOverflow(f"product size exceeds {PRODUCT_SIZE_CAP}")
+        n = _within_cap(n * p.size, "product")
 
     sizes = [p.size for p in parts]
 
@@ -367,7 +374,7 @@ def parse_construction(text: str) -> ConstructionSpec:
         if kind in ("boolean", "chain"):
             take("(")
             arg = take()
-            if not arg.isdigit():
+            if not arg.isdecimal():
                 fail(f"{kind} needs an integer, got {arg!r}")
             take(")")
             return ConstructionSpec(kind, (int(arg),))

@@ -59,9 +59,6 @@ class FiniteEffectAlgebra:
     def elements(self):
         return range(self.size)
 
-    def plus(self, x: int, y: int) -> int | None:
-        return self.sum[x][y]
-
     @cached_property
     def order(self) -> "OrderStructure":
         return _compute_order(self)

@@ -71,7 +71,6 @@ class EnumerationConfig:
     node_budget: int | None = None
     time_budget: float | None = None
     jobs: int = 1
-    chunk_depth: int = 2
     checkpoint: dict | None = None  # previously returned checkpoint to resume
 
     def __post_init__(self):
@@ -386,6 +385,10 @@ def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
 
 # -- chunked depth-first generation --------------------------------------
 
+# decision levels a chunk's prefix fixes; chunks are the unit of checkpoints
+# and of --jobs
+_CHUNK_DEPTH = 2
+
 
 def _f_values(n: int):
     m = n - 2
@@ -623,7 +626,7 @@ def _resume(config: EnumerationConfig):
     config.checkpoint completed, and how many classes those yielded."""
     n = config.size
     chunks = [(f, prefix) for f in _f_values(n)
-              for prefix in _collect_prefixes(n, f, config.chunk_depth)]
+              for prefix in _collect_prefixes(n, f, _CHUNK_DEPTH)]
     cp = config.checkpoint
     if cp is None:
         return chunks, set(), 0

@@ -1,10 +1,11 @@
-"""Exact rational linear feasibility and optimization.
+"""Exact rational linear feasibility.
 
 Two independent decision routes:
 
-* a two-phase primal simplex over Fractions (Bland's rule, so runs are
-  deterministic and finite), producing either a point or a Farkas
-  certificate of infeasibility;
+* phase 1 of the primal simplex method over Fractions (Bland's rule, so
+  runs are deterministic and finite), producing either a feasible vertex
+  or a Farkas certificate of infeasibility.  There is no objective:
+  state existence and the state-space dimension need only feasibility;
 * Fourier-Motzkin elimination, kept deliberately separate so it can serve
   as an oracle for the simplex on small systems.
 
@@ -45,9 +46,8 @@ _FM_ROW_CAP = 200_000
 
 
 class SimplexResult(NamedTuple):
-    status: str  # optimal | infeasible | unbounded
+    status: str  # feasible | infeasible
     x: tuple[Fraction, ...] | None = None
-    objective: Fraction | None = None
     farkas: tuple[Fraction, ...] | None = None  # multipliers over input rows
 
 
@@ -63,17 +63,13 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _run_pivots(tab, obj, basis, allowed):
+def _run_pivots(tab, obj, basis):
     """Minimize obj (a mutable reduced-cost row with rhs last) with Bland's rule."""
     m = len(tab)
     while True:
-        col = -1
-        for j in allowed:
-            if obj[j] < 0:
-                col = j
-                break
+        col = next((j for j in range(len(obj) - 1) if obj[j] < 0), -1)
         if col < 0:
-            return "optimal"
+            return
         row, best = -1, None
         for i in range(m):
             a = tab[i][col]
@@ -81,8 +77,7 @@ def _run_pivots(tab, obj, basis, allowed):
                 ratio = tab[i][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
                     best, row = ratio, i
-        if row < 0:
-            return "unbounded:%d" % col
+        assert row >= 0, "phase 1 is bounded below by zero"
         _pivot(tab, basis, row, col)
         f = obj[col]
         prow = tab[row]
@@ -90,12 +85,12 @@ def _run_pivots(tab, obj, basis, allowed):
             obj[j] -= f * prow[j]
 
 
-def solve_standard(A, b, c=None) -> SimplexResult:
-    """Solve min c.x subject to A x = b, x >= 0 (feasibility if c is None).
+def solve_standard(A, b) -> SimplexResult:
+    """Decide A x = b, x >= 0 by phase 1 of the simplex method.
 
-    Returns a deterministic optimal vertex, an unbounded verdict, or a
-    Farkas certificate: multipliers lam over the rows of A with
-    lam.A <= 0 componentwise and lam.b > 0.
+    Returns a deterministic feasible vertex, or a Farkas certificate:
+    multipliers lam over the rows of A with lam.A <= 0 componentwise and
+    lam.b > 0.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -116,7 +111,7 @@ def solve_standard(A, b, c=None) -> SimplexResult:
         basis[i] = n + t
     start = list(basis)
 
-    # phase 1: minimize the artificial total
+    # minimize the artificial total
     obj = [ZERO] * (width + 1)
     for i in art:
         for j, v in enumerate(tab[i]):
@@ -124,47 +119,20 @@ def solve_standard(A, b, c=None) -> SimplexResult:
                 obj[j] -= v
     for t in range(len(art)):
         obj[n + t] += ONE
-    status = _run_pivots(tab, obj, basis, list(range(width)))
-    assert status == "optimal", "phase 1 is bounded below by zero"
-    infeas = -obj[-1]
-    if infeas > 0:
+    _run_pivots(tab, obj, basis)
+    if obj[-1] < 0:
         # reduced cost under a starting column k of row i is cost_k - y_i,
         # with cost 1 for an artificial and 0 for a slack
         lam = tuple(signs[i] * ((ONE if k >= n else ZERO) - obj[k])
                     for i, k in enumerate(start))
         return SimplexResult("infeasible", farkas=lam)
 
-    # drive leftover artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
-            if col is not None:
-                _pivot(tab, basis, i, col)
-
-    def extract():
-        x = [ZERO] * n
-        for i, bi in enumerate(basis):
-            if bi < n:
-                x[bi] = tab[i][-1]
-        return tuple(x)
-
-    if c is None:
-        return SimplexResult("optimal", x=extract(), objective=ZERO)
-
-    # phase 2 over the real objective; artificial columns stay out
-    cost = [Fraction(v) for v in c]
-    obj = cost + [ZERO] * (width + 1 - n)
+    # an artificial left in the basis sits at 0, so x is read off as it is
+    x = [ZERO] * n
     for i, bi in enumerate(basis):
-        if bi < n and cost[bi] != 0:
-            f = cost[bi]
-            for j in range(width + 1):
-                obj[j] -= f * tab[i][j]
-    status = _run_pivots(tab, obj, basis, list(range(n)))
-    if status.startswith("unbounded"):
-        return SimplexResult("unbounded")
-    x = extract()
-    value = sum(ci * xi for ci, xi in zip(cost, x))
-    return SimplexResult("optimal", x=x, objective=value)
+        if bi < n:
+            x[bi] = tab[i][-1]
+    return SimplexResult("feasible", x=tuple(x))
 
 
 def verify_farkas(A, b, lam) -> bool:

@@ -24,7 +24,7 @@ from .errors import (
     NotCentral,
     NotLattice,
 )
-from .linsolve import ZERO, ONE, SimplexResult, matrix_rank, row_basis, solve_standard
+from .linsolve import ZERO, ONE, matrix_rank, row_basis, solve_standard
 from .structure import (
     center,
     compatibility_center,
@@ -309,22 +309,37 @@ def find_subadditive_state(E: FiniteEffectAlgebra):
 def state_space_dimension(E: FiniteEffectAlgebra) -> int:
     """Affine dimension of the state polytope; -1 when it is empty.
 
-    The LP is the presolved one of find_state.  The affine hull adds
-    w_j = 0 for every j whose maximum over the polytope is 0: one LP per
-    variable, the first of which also decides feasibility.
+    The affine hull is cut out by the equality rows and by w_j = 0 for
+    every j that no state makes positive (Schrijver 1986, Theory of Linear
+    and Integer Programming), so feasibility LPs suffice.  The first is the
+    presolved LP of find_state, and its vertex's support starts the set of
+    coordinates some state makes positive.  Each further LP is the
+    homogenized system A z - lam b = 0, z >= 0, lam >= 0, with the w_j
+    outside that set summing to 1: a solution adds its support to the set,
+    and infeasibility ends the search.  Every bound homogenizes to
+    w_i <= lam, so lam > 0 and z / lam is a state.  Each point found is
+    positive where all earlier ones are 0, so the points are affinely
+    independent and a call solves at most dim + 2 LPs.
     """
     sys = state_system(E, subadditive=False)
     A, b, eqs, _ = _to_standard(sys)
     n = sys.n_vars
-    rows = [sys.eq_rows[i][0] for i in eqs]
-    for j in range(n):
-        c = [ZERO] * len(A[0])
-        c[j] = -ONE
-        res = solve_standard(A, b, c)
+    res = solve_standard(A, b)
+    if res.status == "infeasible":
+        return -1
+    support = {j for j in range(n) if res.x[j] != 0}
+    homogenized = [row + [-bi] for row, bi in zip(A, b)]
+    rhs = [ZERO] * len(A) + [ONE]
+    while len(support) < n:
+        outside = [ZERO if j in support else ONE for j in range(n)]
+        res = solve_standard(
+            homogenized + [outside + [ZERO] * (len(A[0]) + 1 - n)], rhs)
         if res.status == "infeasible":
-            return -1
-        if res.x[j] == 0:
-            rows.append([ONE if i == j else ZERO for i in range(n)])
+            break
+        support.update(j for j in range(n) if res.x[j] != 0)
+    rows = [sys.eq_rows[i][0] for i in eqs]
+    rows += [[ONE if i == j else ZERO for i in range(n)]
+             for j in range(n) if j not in support]
     return n - matrix_rank(rows)
 
 

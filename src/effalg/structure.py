@@ -81,7 +81,6 @@ class ElementSubset:
 
     parent: FiniteEffectAlgebra
     mask: int
-    tag: str | None = None
 
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
@@ -163,7 +162,7 @@ def sharp_elements(E: FiniteEffectAlgebra) -> ElementSubset:
             m |= 1 << x
         elif order.meet[x][E.orth[x]] is None:
             raise MeetUndefined(x)
-    sub = ElementSubset(E, m, tag="sharp")
+    sub = ElementSubset(E, m)
     if order.is_lattice:
         ok = is_sub_effect_algebra(sub)
         if not ok:
@@ -231,7 +230,7 @@ def blocks(E: FiniteEffectAlgebra) -> list[ElementSubset]:
     adj = compatibility_adjacency(E)
     cliques = _max_cliques(adj, E.size)
     cliques.sort(key=lambda m: tuple(bits(m)))
-    subs = [ElementSubset(E, m, tag="block") for m in cliques]
+    subs = [ElementSubset(E, m) for m in cliques]
 
     covered = 0
     for sub in subs:
@@ -265,7 +264,7 @@ def compatibility_center(E: FiniteEffectAlgebra) -> ElementSubset:
     if inter != direct:
         raise InternalCheckFailed(
             f"block intersection {inter:b} != universal-compatibility set {direct:b}")
-    return ElementSubset(E, direct, tag="compatibility-center")
+    return ElementSubset(E, direct)
 
 
 def center_by_identity(E: FiniteEffectAlgebra) -> ElementSubset:
@@ -279,7 +278,7 @@ def center_by_identity(E: FiniteEffectAlgebra) -> ElementSubset:
         if all(order.join[order.meet[y][x]][order.meet[y][xp]] == y
                for y in E.elements()):
             m |= 1 << x
-    return ElementSubset(E, m, tag="center")
+    return ElementSubset(E, m)
 
 
 def center(E: FiniteEffectAlgebra) -> ElementSubset:
@@ -389,7 +388,7 @@ def finite_elements(E: FiniteEffectAlgebra) -> ElementSubset:
         raise InternalCheckFailed(
             f"atom-sum closure missed elements: {reach:b} (finite algebras are "
             "spanned by their atoms)")
-    return ElementSubset(E, reach, tag="finite")
+    return ElementSubset(E, reach)
 
 
 def is_lattice_ideal(E: FiniteEffectAlgebra, S: ElementSubset) -> CheckResult:

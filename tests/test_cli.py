@@ -100,6 +100,26 @@ class TestCheckCommand:
         code, out = run_cli("check", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize("content", [
+        b"version 1\nconstruct boolean(25)\n",
+        b"version 1\nconstruct interval(chain(3), 2a, a)\n",
+        b"version 1\nconstruct interval(chain(2), a, a)\n",
+        b"version 1\nconstruct chain(\xc2\xb2)\n",
+        b"version 1\n\xff\n",
+        b"version 1\nconstruct " + b"product(" * 3000 + b"chain(1)" + b")" * 3000,
+    ], ids=["size-overflow", "not-below", "empty-interval", "superscript-digit",
+            "not-utf8", "nested-too-deep"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_bad_input_exits_3(self, tmp_path, content, as_json):
+        path = tmp_path / "bad.alg"
+        path.write_bytes(content)
+        code, out = run_cli("check", str(path), *(["--json"] if as_json else []))
+        assert code == 3
+        if as_json:
+            assert set(json.loads(out)) == {"command", "error"}
+        else:
+            assert len(out.splitlines()) == 1 and out.startswith("parse error: ")
+
     def test_json_mode(self, e5_file):
         code, out = run_cli("check", e5_file, "--json")
         data = json.loads(out)
@@ -347,6 +367,8 @@ class TestUsageErrors:
         ("enumerate", "5", "--budget-nodes", "-5"),
         ("enumerate", "5", "--budget-nodes", "0"),
         ("enumerate", "5", "--budget-seconds", "0"),
+        ("enumerate", "5", "--jobs", "0"),
+        ("enumerate", "5", "--jobs", "-2"),
         ("enumerate", "1"),
         ("theorems", "--sweep", "1"),
         ("theorems", "--sweep", "5", "--budget-nodes", "0"),

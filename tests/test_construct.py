@@ -136,6 +136,17 @@ class TestProduct:
             product([boolean_algebra(4)] * 4)
 
 
+class TestSizeCap:
+    @pytest.mark.parametrize("make", [
+        lambda: boolean_algebra(13),
+        lambda: chain(4096),
+        lambda: horizontal_sum([chain(3)] * 2048),  # 4098 elements
+    ], ids=["boolean", "chain", "horizontal-sum"])
+    def test_every_constructor_stops_at_the_cap(self, make):
+        with pytest.raises(SizeOverflow):
+            make()
+
+
 class TestInterval:
     def test_full_interval_is_the_algebra(self, e5):
         sub = interval(e5, 0, 4)

@@ -19,7 +19,7 @@ class TestSimplex:
     def test_simple_feasible(self):
         # x1 + x2 = 1, x >= 0
         res = solve_standard([[F(1), F(1)]], [F(1)])
-        assert res.status == "optimal"
+        assert res.status == "feasible"
         assert sum(res.x) == 1
 
     def test_simple_infeasible_with_certificate(self):
@@ -35,21 +35,6 @@ class TestSimplex:
         res = solve_standard(A, b)
         assert res.status == "infeasible"
         assert verify_farkas(A, b, res.farkas)
-
-    def test_minimize(self):
-        # min x1 subject to x1 + x2 = 1: Bland lands on x1 = 0
-        res = solve_standard([[F(1), F(1)]], [F(1)], [F(1), F(0)])
-        assert res.status == "optimal"
-        assert res.objective == 0 and res.x == (F(0), F(1))
-
-    def test_maximize_via_negation(self):
-        res = solve_standard([[F(1), F(1)]], [F(1)], [F(-1), F(0)])
-        assert res.objective == -1 and res.x == (F(1), F(0))
-
-    def test_unbounded(self):
-        # min -x1 with x1 - x2 = 0: both can grow forever
-        res = solve_standard([[F(1), F(-1)]], [F(0)], [F(-1), F(0)])
-        assert res.status == "unbounded"
 
     def test_deterministic(self):
         A = [[F(1), F(1), F(1)], [F(1), F(-1), F(0)]]
@@ -110,7 +95,7 @@ class TestAgreement:
             if not has_slack:
                 le_rows.append((tuple(-v for v in coeffs), -rhs))
         res = solve_standard(A, b)
-        assert (res.status == "optimal") == fourier_motzkin_feasible(le_rows, n)
+        assert (res.status == "feasible") == fourier_motzkin_feasible(le_rows, n)
         if res.status == "infeasible":
             assert verify_farkas(A, b, res.farkas)
         else:

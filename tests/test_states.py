@@ -150,6 +150,37 @@ class TestDimension:
         assert state_space_dimension(E) == 1
         assert 0 < len(calls) <= E.size
 
+    @pytest.mark.parametrize("E, dim", [
+        (horizontal_sum([boolean_algebra(2), chain(4), chain(5)]), 1),
+        (algebra_from_sums(3, 0, 2, [(1, 1, 2), (2, 2, 2)]), -1),
+    ], ids=["horizontal-sum", "empty"])
+    def test_at_most_dim_plus_two_lps(self, E, dim, monkeypatch):
+        import effalg.states
+
+        calls = []
+        solve = effalg.states.solve_standard
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(effalg.states, "solve_standard", counted)
+        assert state_space_dimension(E) == dim
+        assert 0 < len(calls) <= dim + 2
+
+    @pytest.mark.parametrize("E, dim", [
+        *[(boolean_algebra(k), k - 1) for k in range(1, 5)],
+        (horizontal_sum([boolean_algebra(3), chain(3),
+                         product([boolean_algebra(1), chain(2)])]), 3),
+        (product([boolean_algebra(2), chain(3)]), 2),
+        (product([chain(3), chain(4)]), 1),
+    ], ids=["boolean1", "boolean2", "boolean3", "boolean4", "horizontal-sum",
+            "product-boolean2-chain3", "product-chain3-chain4"])
+    def test_closed_forms(self, E, dim):
+        # boolean(k): the simplex on k atoms; a horizontal sum adds its
+        # parts' dimensions; a product of two parts adds 1 to that sum
+        assert state_space_dimension(E) == dim
+
     def test_stateless_fixture_dimension(self):
         from pathlib import Path
 

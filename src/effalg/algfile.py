@@ -17,7 +17,7 @@ single `construct <spec>` line names a construction, e.g.
 
 from __future__ import annotations
 
-from .construct import build, parse_construction
+from .construct import MAX_DIGITS, build, parse_construction
 from .core import FiniteEffectAlgebra
 from .errors import EffectAlgebraError, InternalCheckFailed
 
@@ -51,6 +51,8 @@ def loads_algebra(text: str) -> FiniteEffectAlgebra:
         if key == "version":
             if len(parts) != 2 or not parts[1].isdecimal():
                 fail("version needs a single integer")
+            if len(parts[1]) > MAX_DIGITS:
+                fail(f"unsupported version of {len(parts[1])} digits")
             version = int(parts[1])
         elif key == "elements":
             if labels is not None:

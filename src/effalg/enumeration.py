@@ -3,15 +3,24 @@
 Layout convention for generated tables: zero at index 0, one at index n-1,
 middles 1..n-2.  The orthosupplement restricted to the middles is first
 normalized to the canonical involution (self-paired elements first, then
-adjacent pairs); the search then fills the undetermined cells in a fixed
-order with unit propagation (the partner rule x+y=v forces y+v' = x'),
-incremental associativity checking, and row-injectivity pruning.  A leaf
-is emitted iff its table is lexicographically minimal among relabelings
-that preserve the frame (zero, one, and the involution layout), so every
+adjacent pairs); the search then fills the undetermined cells with unit
+propagation (the partner rule x+y=v forces y+v' = x'), incremental
+associativity checking, and row-injectivity pruning.  A leaf is emitted
+iff its table is lexicographically minimal among relabelings that
+preserve the frame (zero, one, and the involution layout), so every
 isomorphism class surfaces exactly once.
 
+The search is orderly: it fills the cells in the order of the key, column
+by column, so the decided cells start with a prefix of the key.  Each time
+the next open cell starts a new column, the search asks whether some
+frame-preserving relabeling beats the identity on that decided prefix.  If
+one does, it beats every completion too, and the subtree is cut.  The
+canonical table's prefixes are never cut, since a relabeling that beat one
+of them would beat the canonical table itself.
+
 The canonical key exported here uses the same frame-preserving minimum, so
-two algebras have equal keys iff they are isomorphic.
+two algebras have equal keys iff they are isomorphic.  One routine,
+_min_key_search, computes the key and answers both canonicity tests.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ __all__ = [
 UNKNOWN = -2
 UNDEF = -1
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3  # 3: chunk prefixes index cells in key order
 
 # a checkpoint's kind is told by its exact set of fields
 _ENUMERATION_FIELDS = frozenset(
@@ -131,9 +140,9 @@ class _Search:
         self.rowvals = rowvals
         self.occ = [[] for _ in range(n)]
         self.trail = []
-        self.cells = [(x, y) for x in range(1, m + 1) for y in range(x, m + 1)
-                      if self.orth[x] != y]
-        self.nodes = 0
+        # key order (_key_cells), so that the decided cells form a prefix of
+        # the key; orthosupplement cells are fixed to one by the frame
+        self.cells = [(i, d) for i, d in _key_cells(m) if self.orth[i] != d]
 
     # -- assignment with propagation ------------------------------------
 
@@ -220,13 +229,6 @@ def _key_cells(m: int):
     return tuple((i, d) for d in range(1, m + 1) for i in range(1, d + 1))
 
 
-def _key(T, n, inv, pos):
-    """Key of T relabeled by inv (position -> element) and pos (element ->
-    position, one at n-1); an undefined sum is written as n."""
-    return [n if (v := T[inv[i] * n + inv[d]]) == UNDEF else pos[v]
-            for i, d in _key_cells(n - 2)]
-
-
 def _min_key_search(T, n, f, stop_below=False):
     """Least key over frame-preserving relabelings.
 
@@ -235,15 +237,34 @@ def _min_key_search(T, n, f, stop_below=False):
     remaining positions.  With stop_below set, the search answers the
     yes/no question "is any relabeling strictly below the identity's key?"
     and exits at the first hit; otherwise it returns the minimum key itself.
+
+    T may be partial (UNKNOWN cells) when stop_below is set.  Then only the
+    identity's decided prefix, its key up to the first open cell, is
+    compared, and a hit means that the relabeling beats the identity on
+    every completion of T.  A relabeled entry read from an open cell ends
+    that relabeling with no conclusion.
+
+    Positions are filled in order, and placing position d decides the
+    key's column d.  Each relabeling is compared entry by entry as its
+    columns are decided.  An entry whose value has no position yet stays
+    open until a later placement gives it one, which will be at least the
+    next free position; while it is open, the entries after it are not
+    compared.
     """
     m = n - 2
-    best = _key(T, n, range(n), range(n))
-    found_smaller = False
-
+    cells = _key_cells(m)
+    size = len(cells)
+    # a key entry is the position of the sum, n where it is undefined and
+    # n + 1 where the cell is open: pos[UNDEF] = n, pos[UNKNOWN] = n + 1
+    identity = list(range(n)) + [n + 1, n]
+    best = [identity[T[i * n + d]] for i, d in cells]
     inv = [0] * n   # position -> original element
-    pos = [0] * n   # original element -> position (0 = unassigned)
+    pos = [0] * n + [n + 1, n]   # original element -> position (0 = unplaced)
     pos[n - 1] = n - 1
-    used = [False] * (m + 1)
+    if stop_below and n + 1 in best:
+        # -1 lies below every entry: tying the decided prefix concludes nothing
+        cut = best.index(n + 1)
+        best[cut:] = [-1] * (size - cut)
     fixed = list(range(1, f + 1))
     paired = list(range(f + 1, m + 1))
 
@@ -254,84 +275,64 @@ def _min_key_search(T, n, f, stop_below=False):
     def place(d, e, width):
         inv[d] = e
         pos[e] = d
-        used[e] = True
         if width == 2:
             p = orth_of(e)
             inv[d + 1] = p
             pos[p] = d + 1
-            used[p] = True
 
-    def unplace(d, e, width):
-        used[e] = False
+    def unplace(e, width):
         pos[e] = 0
-        inv[d] = 0
         if width == 2:
-            p = orth_of(e)
-            used[p] = False
-            pos[p] = 0
-            inv[d + 1] = 0
+            pos[orth_of(e)] = 0
 
-    def descend(d, state):
-        # state 0: decided prefix equals best; 1: an undecided entry was
-        # passed (no conclusion until the leaf); 2: prefix strictly smaller
-        nonlocal best, found_smaller
-        if found_smaller:
-            return
+    def descend(d, j) -> bool:
+        # the entries before j equal best's; True once a relabeling is found
+        # strictly below the identity (stop_below only).  Without stop_below
+        # a relabeling below best on a prefix lowers best to that prefix
+        # followed by n + 2, above every entry; the relabeling's first
+        # completion then fills best in, so best ends as the least key.
         if d > m:
-            key = _key(T, n, inv, pos)
-            if key < best:
-                if stop_below:
-                    found_smaller = True
-                else:
-                    best = key
-            return
+            return False
         if d <= f:
-            cands = fixed
-            width = 1
+            cands, width = fixed, 1
         else:
-            cands = paired
-            width = 2
-        entry_idx = (d - 1) * d // 2
+            cands, width = paired, 2
+        nxt = d + width
+        end = (nxt - 1) * nxt // 2   # the entries of columns 1..nxt-1
         for e in cands:
-            if used[e]:
+            if pos[e]:
                 continue
             place(d, e, width)
-            nstate = state
-            prune = False
-            if nstate == 0:
-                idx = entry_idx
-                for dd in range(d, d + width):
-                    for i in range(1, dd + 1):
-                        v = T[inv[i] * n + inv[dd]]
-                        enc = n if v == UNDEF else pos[v] or None
-                        if nstate == 0:
-                            if enc is None:
-                                nstate = 1
-                            elif enc < best[idx]:
-                                nstate = 2
-                                break
-                            elif enc > best[idx]:
-                                prune = True
-                                break
-                        idx += 1
-                    if prune or nstate == 2:
-                        break
-            if not prune:
-                if nstate == 2 and stop_below:
-                    # the first differing entry is already smaller: every
-                    # completion of this relabeling beats the base key
-                    found_smaller = True
-                    unplace(d, e, width)
-                    return
-                descend(d + width, nstate)
-            unplace(d, e, width)
-            if found_smaller:
-                return
+            k = j
+            while k < end:
+                i, dd = cells[k]
+                enc = pos[T[inv[i] * n + inv[dd]]]
+                b = best[k]
+                if enc == b:
+                    k += 1
+                elif enc == 0:
+                    if nxt > b:   # its position will be above b
+                        k = -1
+                    break
+                elif enc > b:
+                    k = -1
+                    break
+                elif stop_below:
+                    unplace(e, width)
+                    return True
+                else:
+                    if b != n + 2:
+                        best[k + 1:] = [n + 2] * (size - k - 1)
+                    best[k] = enc
+                    k += 1
+            if k >= 0 and descend(nxt, k):
+                unplace(e, width)
+                return True
+            unplace(e, width)
+        return False
 
-    descend(1, 0)
-    if stop_below:
-        return found_smaller
-    return tuple(best)
+    found = descend(1, 0)
+    return found if stop_below else tuple(best)
 
 
 def _is_canonical(T, n, f) -> bool:
@@ -474,10 +475,10 @@ def _run_chunk(n, f, prefix, budget: _Budget):
     found = []
     start = (prefix[-1][0] + 1) if prefix else 0
 
-    def dfs(start):
+    def dfs(start, column):
         k = _next_open(search, start)
+        T = search.T
         if k < 0:
-            T = search.T
             if _is_canonical(T, n, f):
                 E = _table_to_algebra(T, n)
                 bad = validate(E)
@@ -487,14 +488,18 @@ def _run_chunk(n, f, prefix, budget: _Budget):
                 found.append(tuple(E.sum))
             return
         x, y = search.cells[k]
+        # a new column: if a relabeling beats the decided prefix of the key,
+        # it beats every completion, so none of them is canonical
+        if y != column and _min_key_search(T, n, f, stop_below=True):
+            return
         for v in search.candidates(x, y):
             budget.spend()
             mark = len(search.trail)
             if search.assign(x, y, v):
-                dfs(k + 1)
+                dfs(k + 1, y)
             search.undo_to(mark)
 
-    dfs(start)
+    dfs(start, 0)
     return found
 
 

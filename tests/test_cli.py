@@ -107,8 +107,10 @@ class TestCheckCommand:
         b"version 1\nconstruct chain(\xc2\xb2)\n",
         b"version 1\n\xff\n",
         b"version 1\nconstruct " + b"product(" * 3000 + b"chain(1)" + b")" * 3000,
+        b"version 1\nconstruct chain(" + b"9" * 5000 + b")\n",
+        b"version " + b"1" * 5000 + b"\nconstruct chain(3)\n",
     ], ids=["size-overflow", "not-below", "empty-interval", "superscript-digit",
-            "not-utf8", "nested-too-deep"])
+            "not-utf8", "nested-too-deep", "huge-argument", "huge-version"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_bad_input_exits_3(self, tmp_path, content, as_json):
         path = tmp_path / "bad.alg"
@@ -248,7 +250,7 @@ class TestCheckpoints:
 
     def test_stateless_checkpoint_is_no_enumeration_one(self, tmp_path):
         cp = self.cut(tmp_path, "enumerate", "8", "--find-stateless",
-                      "--budget-nodes", "3000")
+                      "--budget-nodes", "1500")
         self.assert_rejected("enumerate", "8", "--checkpoint", cp)
 
     def test_checkpoint_of_another_size(self, tmp_path):
@@ -265,15 +267,23 @@ class TestCheckpoints:
         cp.write_text("garbage")
         self.assert_rejected("enumerate", "5", "--checkpoint", str(cp))
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version(self, tmp_path, version):
+        # chunk ids name cells by index, and the cell order changed in 3
+        cp = tmp_path / "cp.json"
+        cp.write_text(json.dumps({"version": version, "size": 7, "filters": [],
+                                  "completed": [], "yielded": 0}))
+        self.assert_rejected("enumerate", "7", "--checkpoint", str(cp))
+
     def test_json_error_line(self, tmp_path):
         cp = tmp_path / "cp.json"
         cp.write_text("[]")
         code, out = run_cli("enumerate", "5", "--checkpoint", str(cp), "--json")
         assert code == 3 and "checkpoint" in json.loads(out)["error"]
 
-    # each cut comes after some classes were yielded (8 and 10)
+    # each cut comes after some classes were yielded (13 and 15)
     @pytest.mark.parametrize("filters,nodes,full", [
-        ((), "1000", 40), (("--lattice-only",), "3000", 25)])
+        ((), "1000", 40), (("--lattice-only",), "1500", 25)])
     def test_resumed_count_is_the_whole_count(self, tmp_path, filters, nodes,
                                               full):
         cp = self.cut(tmp_path, "enumerate", "8", *filters,
@@ -284,7 +294,7 @@ class TestCheckpoints:
 
     def test_resumed_stateless_search_counts_every_class(self, tmp_path):
         cp = self.cut(tmp_path, "enumerate", "8", "--find-stateless",
-                      "--budget-nodes", "3000")
+                      "--budget-nodes", "1500")
         code, out = run_cli("enumerate", "8", "--find-stateless",
                             "--checkpoint", cp, "--json")
         assert code == 0

@@ -21,6 +21,7 @@ from effalg.enumeration import (
 from effalg.errors import BudgetExceeded, CheckpointError
 from effalg.states import StateVector, find_state, fm_feasible, state_system
 from oracle_frame_min import frame_min_key
+from oracle_labelled import frames, labelled_count, orbit_sums
 from oracle_naive import naive_classes
 
 # class counts per size, frozen after the first computation and cross-checked
@@ -57,6 +58,15 @@ class TestCounts:
     def test_all_emitted_valid(self):
         for E in enumerate_size(6):
             assert validate(E) == []
+
+
+class TestOrbitCount:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
+    def test_labelled_count_is_the_orbit_sum(self, n):
+        # completeness and isomorph-freeness at once: in every frame, the
+        # valid tables are the disjoint union of the classes' orbits
+        sums = orbit_sums(enumerate_size(n), n)
+        assert sums == {f: labelled_count(n, f) for f in frames(n)}
 
 
 class TestFilters:
@@ -169,13 +179,13 @@ class TestBudgets:
         assert got == full
 
     def test_find_stateless_budget_spans_all_sizes(self):
-        # size 8 alone takes exactly 17,241 nodes; sizes 5-7 take 1,360 more
+        # size 8 alone takes exactly 2,196 nodes; sizes 5-7 take 588 more
         with pytest.raises(BudgetExceeded):
-            find_stateless(8, node_budget=17241)
+            find_stateless(8, node_budget=2196)
 
     def test_stateless_checkpoint_must_have_cleared_the_sizes_below(self):
         with pytest.raises(BudgetExceeded) as info:
-            find_stateless(8, node_budget=3000)
+            find_stateless(8, node_budget=1500)
         cp = info.value.checkpoint
         assert cp["size"] == 8
         with pytest.raises(CheckpointError):

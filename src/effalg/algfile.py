@@ -51,8 +51,9 @@ def loads_algebra(text: str) -> FiniteEffectAlgebra:
         if key == "version":
             if len(parts) != 2 or not parts[1].isdecimal():
                 fail("version needs a single integer")
-            if len(parts[1]) > MAX_DIGITS:
-                fail(f"unsupported version of {len(parts[1])} digits")
+            digits = len(parts[1].lstrip("0"))
+            if digits > MAX_DIGITS:
+                fail(f"unsupported version of {digits} digits")
             version = int(parts[1])
         elif key == "elements":
             if labels is not None:

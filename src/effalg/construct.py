@@ -34,8 +34,9 @@ __all__ = [
 ]
 
 SIZE_CAP = 4096  # keeps downstream O(n^3) scans tractable
-# longest integer argument read; int() refuses digit strings of more
-# than 4300 digits, and every size is capped far below 10**9
+# most digits an integer argument may have, leading zeros aside; int()
+# refuses digit strings of more than 4300 digits, and every size is
+# capped far below 10**9
 MAX_DIGITS = 9
 _LATTICE_ASSERT_CAP = 512  # skip the O(n^3) coordinatewise-order check above this
 
@@ -379,8 +380,9 @@ def parse_construction(text: str) -> ConstructionSpec:
             arg = take()
             if not arg.isdecimal():
                 fail(f"{kind} needs an integer, got {arg!r}")
-            if len(arg) > MAX_DIGITS:
-                fail(f"{kind} argument of {len(arg)} digits is too large")
+            digits = len(arg.lstrip("0"))
+            if digits > MAX_DIGITS:
+                fail(f"{kind} argument of {digits} digits is too large")
             take(")")
             return ConstructionSpec(kind, (int(arg),))
         if kind in ("horizontal_sum", "product"):

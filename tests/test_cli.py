@@ -122,6 +122,12 @@ class TestCheckCommand:
         else:
             assert len(out.splitlines()) == 1 and out.startswith("parse error: ")
 
+    def test_leading_zeros_do_not_count_as_digits(self, tmp_path):
+        path = tmp_path / "padded.alg"
+        path.write_text("version 0000000001\nconstruct chain(0000000003)\n")
+        code, out = run_cli("check", str(path), "--json")
+        assert code == 0 and json.loads(out)["valid"] is True
+
     def test_json_mode(self, e5_file):
         code, out = run_cli("check", e5_file, "--json")
         data = json.loads(out)

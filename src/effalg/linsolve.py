@@ -15,6 +15,13 @@ slacks: a column that is the unit vector e_i of row i (after a row with
 b_i < 0 is negated) is basic in row i from the start, and only the other
 rows get an artificial column.
 
+State LPs are mostly zeros (an additivity or join row has at most three
+nonzero coefficients, a slack column one nonzero), so a pivot works on the
+pivot row's nonzero columns only: it updates those entries in place in
+each row with a nonzero in the pivot column, and in the reduced-cost row.
+An entry that a dense pivot would rewrite as a - f * 0 keeps its value, so
+results are those of the textbook pivot.
+
 row_basis picks a maximal independent set of rows, first in row order, by
 fraction-free elimination (Bareiss 1968, Math. Comp. 22); matrix_rank is
 its size.
@@ -31,7 +38,6 @@ from .errors import CapExceeded
 __all__ = [
     "SimplexResult",
     "solve_standard",
-    "verify_farkas",
     "fourier_motzkin_feasible",
     "matrix_rank",
     "row_basis",
@@ -52,15 +58,25 @@ class SimplexResult(NamedTuple):
 
 
 def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    inv = ONE / piv
-    tab[row] = [v * inv for v in tab[row]]
+    """Pivot on tab[row][col] in place; returns the pivot row's nonzero columns.
+
+    Only those columns can change, in the pivot row and in every other row
+    with a nonzero entry in col, so the work is (rows touched) x (nonzeros
+    of the pivot row) rather than the whole tableau.
+    """
     prow = tab[row]
+    nz = [j for j, v in enumerate(prow) if v]
+    piv = prow[col]
+    if piv != 1:
+        for j in nz:
+            prow[j] /= piv
     for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [a - f * p for a, p in zip(r, prow)]
+        f = r[col]
+        if f and i != row:
+            for j in nz:
+                r[j] -= f * prow[j]
     basis[row] = col
+    return nz
 
 
 def _run_pivots(tab, obj, basis):
@@ -78,10 +94,10 @@ def _run_pivots(tab, obj, basis):
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
                     best, row = ratio, i
         assert row >= 0, "phase 1 is bounded below by zero"
-        _pivot(tab, basis, row, col)
+        nz = _pivot(tab, basis, row, col)
         f = obj[col]
         prow = tab[row]
-        for j in range(len(obj)):
+        for j in nz:
             obj[j] -= f * prow[j]
 
 
@@ -94,36 +110,43 @@ def solve_standard(A, b) -> SimplexResult:
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    signs = [ONE if b[i] >= 0 else -ONE for i in range(m)]
-    rows = [[signs[i] * Fraction(v) for v in A[i]] for i in range(m)]
+    neg = [b[i] < 0 for i in range(m)]
+    tab, support = [], []
+    count = [0] * n  # nonzeros per column
+    for i in range(m):
+        row = [(-Fraction(v) if neg[i] else Fraction(v)) if v else ZERO
+               for v in A[i]]
+        nz = [j for j, v in enumerate(row) if v is not ZERO]
+        for j in nz:
+            count[j] += 1
+        tab.append(row)
+        support.append(nz)
     # a row starts from its first unit column (a slack) where it has one,
     # and from an artificial column otherwise
-    basis = [None] * m
-    for j in range(n):
-        hits = [i for i in range(m) if rows[i][j] != 0]
-        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
-            basis[hits[0]] = j
+    basis = [next((j for j in support[i] if count[j] == 1 and tab[i][j] == 1), None)
+             for i in range(m)]
     art = [i for i in range(m) if basis[i] is None]
     width = n + len(art)
-    tab = [rows[i] + [ZERO] * len(art) + [signs[i] * Fraction(b[i])] for i in range(m)]
+    for i in range(m):
+        rhs = Fraction(b[i])
+        tab[i] += [ZERO] * len(art) + [-rhs if neg[i] else rhs]
     for t, i in enumerate(art):
         tab[i][n + t] = ONE
         basis[i] = n + t
     start = list(basis)
 
-    # minimize the artificial total
+    # minimize the artificial total; an artificial column's cost 1 cancels
+    # its own row's -1, so its reduced cost starts at 0
     obj = [ZERO] * (width + 1)
     for i in art:
-        for j, v in enumerate(tab[i]):
-            if v != 0:
-                obj[j] -= v
-    for t in range(len(art)):
-        obj[n + t] += ONE
+        for j in support[i]:
+            obj[j] -= tab[i][j]
+        obj[-1] -= tab[i][-1]
     _run_pivots(tab, obj, basis)
     if obj[-1] < 0:
         # reduced cost under a starting column k of row i is cost_k - y_i,
         # with cost 1 for an artificial and 0 for a slack
-        lam = tuple(signs[i] * ((ONE if k >= n else ZERO) - obj[k])
+        lam = tuple((-1 if neg[i] else 1) * ((ONE if k >= n else ZERO) - obj[k])
                     for i, k in enumerate(start))
         return SimplexResult("infeasible", farkas=lam)
 
@@ -133,17 +156,6 @@ def solve_standard(A, b) -> SimplexResult:
         if bi < n:
             x[bi] = tab[i][-1]
     return SimplexResult("feasible", x=tuple(x))
-
-
-def verify_farkas(A, b, lam) -> bool:
-    """Independent check that lam certifies infeasibility of Ax=b, x>=0."""
-    if len(lam) != len(A):
-        return False
-    n = len(A[0]) if A else 0
-    for j in range(n):
-        if sum(lam[i] * A[i][j] for i in range(len(A))) > 0:
-            return False
-    return sum(li * bi for li, bi in zip(lam, b)) > 0
 
 
 def _integer_row(values):

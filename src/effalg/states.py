@@ -96,7 +96,8 @@ class InfeasibilityCertificate:
     For every w in the box satisfying the system:
         (sum over rows of multiplier * row) . w  >=  certified_gap  >  0
     while the combined coefficient vector is <= 0 and w >= 0.  verify()
-    recomputes this from scratch, independently of the solver.
+    recomputes this from scratch, independently of the solver, and fails a
+    certificate without exactly one multiplier per row and per bound.
     """
 
     system: LinearSystem
@@ -107,6 +108,9 @@ class InfeasibilityCertificate:
     def verify(self) -> bool:
         sys = self.system
         n = sys.n_vars
+        if (len(self.eq_mult) != len(sys.eq_rows) or len(self.bound_mult) != n
+                or len(self.ineq_mult) != len(sys.ineq_rows)):
+            return False
         combo = [ZERO] * n
         total = ZERO
         for lam, (coeffs, rhs) in zip(self.eq_mult, sys.eq_rows):

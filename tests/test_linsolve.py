@@ -2,15 +2,20 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import effalg.states
+from effalg.construct import boolean_algebra, chain, product
 from effalg.linsolve import (
+    SimplexResult,
     fourier_motzkin_feasible,
     matrix_rank,
     row_basis,
     solve_standard,
-    verify_farkas,
 )
+from effalg.states import find_subadditive_state, state_space_dimension
+from oracle_dense_simplex import solve_dense, verify_farkas
 
 F = Fraction
 
@@ -76,21 +81,42 @@ def small_systems(draw):
     return n, rows
 
 
+def standard_form(rows):
+    """A x = b for rows (coeffs, rhs, has_slack): a slack per slacked row,
+    and split variables x = p - q, so signs are free, as elimination allows.
+    Phase 1 starts a slacked row with b >= 0 from its slack; the other rows,
+    and a split variable that happens to be a unit column, vary that."""
+    slacked = [i for i, (_, _, has_slack) in enumerate(rows) if has_slack]
+    A = [list(coeffs) + [-v for v in coeffs]
+         + [F(1) if i == k else F(0) for k in slacked]
+         for i, (coeffs, _, _) in enumerate(rows)]
+    return A, [rhs for _, rhs, _ in rows]
+
+
+@st.composite
+def sparse_systems(draw):
+    """A x = b with 3-8 rows and 4-12 columns, about three entries in four
+    zero, and small rational nonzeros."""
+    m = draw(st.integers(3, 8))
+    n = draw(st.integers(4, 12))
+    entry = st.tuples(st.integers(0, 3), st.integers(-4, 4),
+                      st.sampled_from([1, 1, 1, 2, 3]))
+    A = []
+    for _ in range(m):
+        A.append([F(v, d) if k == 0 else F(0)
+                  for k, v, d in (draw(entry) for _ in range(n))])
+    b = [F(draw(st.integers(-4, 4))) for _ in range(m)]
+    return A, b
+
+
 class TestAgreement:
     @given(small_systems())
     @settings(max_examples=300, deadline=None)
     def test_simplex_matches_elimination(self, case):
         n, rows = case
-        # standard form with a slack per <=-row and split variables
-        # x = p - q, so signs are free, as elimination allows.  Phase 1
-        # starts a slacked row with b >= 0 from its slack; the other rows,
-        # and a split variable that happens to be a unit column, vary that
-        slacked = [i for i, (_, _, has_slack) in enumerate(rows) if has_slack]
-        A, b, le_rows = [], [], []
-        for i, (coeffs, rhs, has_slack) in enumerate(rows):
-            A.append(list(coeffs) + [-v for v in coeffs]
-                     + [F(1) if i == k else F(0) for k in slacked])
-            b.append(rhs)
+        A, b = standard_form(rows)
+        le_rows = []
+        for coeffs, rhs, has_slack in rows:
             le_rows.append((coeffs, rhs))
             if not has_slack:
                 le_rows.append((tuple(-v for v in coeffs), -rhs))
@@ -102,6 +128,39 @@ class TestAgreement:
             assert all(v >= 0 for v in res.x)
             assert all(sum(a * x for a, x in zip(row, res.x)) == bi
                        for row, bi in zip(A, b))
+
+
+class TestDenseOracle:
+    """The sparse pivots compute what the dense textbook pivots compute."""
+
+    @given(st.one_of(small_systems().map(lambda case: standard_form(case[1])),
+                     sparse_systems()))
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_dense_pivots(self, case):
+        A, b = case
+        res = solve_standard(A, b)
+        assert (res.status, res.x, res.farkas) == solve_dense(A, b)
+        if res.status == "infeasible":
+            assert verify_farkas(A, b, res.farkas)
+
+    @pytest.mark.parametrize("call, E", [
+        (find_subadditive_state, boolean_algebra(4)),
+        (state_space_dimension, product([boolean_algebra(2), chain(3)])),
+    ], ids=["subadditive-boolean4", "dimension-b2xc3"])
+    def test_same_state_lps_as_dense_pivots(self, call, E, monkeypatch):
+        lps = []
+
+        def dense(A, b):
+            res = solve_standard(A, b)
+            status, x, farkas = solve_dense(A, b)
+            assert (res.status, res.x, res.farkas) == (status, x, farkas)
+            lps.append(status)
+            return SimplexResult(status, x, farkas)
+
+        expected = call(E)
+        monkeypatch.setattr(effalg.states, "solve_standard", dense)
+        assert call(E) == expected
+        assert lps
 
 
 class TestRank:

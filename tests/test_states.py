@@ -1,10 +1,14 @@
 """State existence, uniqueness values, certificates, and the constructive routes."""
 
+import time
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import algebra_from_sums
+from effalg.algfile import load_algebra
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.errors import HypothesisViolated, NotCentral
 from effalg.linsolve import matrix_rank, row_basis
@@ -26,6 +30,7 @@ from effalg.states import (
 F = Fraction
 HALF = F(1, 2)
 HEX6_SUMS = [(1, 1, 4), (1, 2, 3), (1, 4, 5), (2, 2, 4), (2, 3, 5)]
+STATELESS9 = Path(__file__).parent / "fixtures" / "stateless9.alg"
 
 
 class TestFindState:
@@ -77,6 +82,20 @@ class TestFindState:
         assert isinstance(got, StateVector)
         assert verify_state(E, got) == []
 
+    # a zero multiplier added or dropped leaves every sum as it was, so
+    # only the counts tell these certificates from the solver's
+    @pytest.mark.parametrize("field, change", [
+        ("eq_mult", lambda m: m + (F(0),)),
+        ("bound_mult", lambda m: m + (F(0),)),
+        ("ineq_mult", lambda m: m + (F(0),)),
+        ("bound_mult", lambda m: m[:-1]),
+    ], ids=["extra-eq", "extra-bound", "extra-ineq", "missing-bound"])
+    def test_certificate_needs_one_multiplier_per_row(self, field, change):
+        cert = find_state(load_algebra(STATELESS9))
+        assert isinstance(cert, InfeasibilityCertificate) and cert.verify()
+        assert cert.bound_mult[-1] == 0
+        assert not replace(cert, **{field: change(getattr(cert, field))}).verify()
+
 
 class TestPresolve:
     @pytest.mark.parametrize("E, subadditive", [
@@ -122,6 +141,16 @@ class TestFindSubadditive:
         # both coatom pairs must sum to 1 and joins force halves
         assert got.values[1] + got.values[2] == 1
         assert got.values[1] >= HALF and got.values[2] >= HALF
+
+    def test_boolean5_within_five_seconds(self):
+        # 435 join rows: about 0.2 s with sparse pivots, 10 s with dense ones
+        E = boolean_algebra(5)
+        t0 = time.perf_counter()
+        got = find_subadditive_state(E)
+        elapsed = time.perf_counter() - t0
+        assert isinstance(got, StateVector)
+        assert verify_state(E, got, require_subadditive=True) == []
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 class TestDimension:
@@ -182,12 +211,7 @@ class TestDimension:
         assert state_space_dimension(E) == dim
 
     def test_stateless_fixture_dimension(self):
-        from pathlib import Path
-
-        from effalg.algfile import load_algebra
-        fixture = load_algebra(
-            Path(__file__).parent / "fixtures" / "stateless9.alg")
-        assert state_space_dimension(fixture) == -1
+        assert state_space_dimension(load_algebra(STATELESS9)) == -1
 
 
 class TestVerifyState:

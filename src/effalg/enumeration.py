@@ -21,6 +21,14 @@ of them would beat the canonical table itself.
 The canonical key exported here uses the same frame-preserving minimum, so
 two algebras have equal keys iff they are isomorphic.  One routine,
 _min_key_search, computes the key and answers both canonicity tests.
+
+On a complete table that routine skips interchangeable elements, a cheap
+case of pruning by known automorphisms (McKay 1998).  Two candidates for
+the same positions are twins when swapping them, together with their
+orthosupplements, is an automorphism of the table; a candidate is skipped
+while an earlier twin is unplaced, since its subtree is a relabeled copy of
+the twin's with the same keys.  A table whose m middles are self-paired and
+interchangeable then costs m relabelings instead of m!.
 """
 
 from __future__ import annotations
@@ -229,6 +237,57 @@ def _key_cells(m: int):
     return tuple((i, d) for d in range(1, m + 1) for i in range(1, d + 1))
 
 
+def _twins(T, n, f):
+    """Per middle e, the list of e's earlier twins in the complete table T.
+
+    Two candidates for the same positions are twins when swapping them is
+    an automorphism of T: two self-paired middles a, b by (a b); elements
+    a, b of two orthosupplement pairs by (a b)(a' b'); the two elements of
+    one pair by (a a').
+    """
+    m = n - 2
+    middles = range(1, m + 1)
+    undefined = [T[x * n:x * n + n].count(UNDEF) for x in range(n)]
+    sigma = list(range(n)) + [UNDEF]   # the swap tried; sigma[UNDEF] = UNDEF
+
+    def swaps(*transpositions) -> bool:
+        # whether these disjoint transpositions, applied together, fix T
+        for a, b in transpositions:
+            # a swap keeps each row's number of undefined sums
+            if undefined[a] != undefined[b]:
+                return False
+        for a, b in transpositions:
+            sigma[a], sigma[b] = b, a
+        moved = [a for t in transpositions for a in t]
+        # a cell can break the swap only if it lies in the row (or column:
+        # T is symmetric) of a moved element or holds one.  The rows suffice,
+        # as the moved elements are closed under ': if x + y = a with x and y
+        # fixed, the row of a' holds y + a' = x', which the swap keeps only
+        # if x + y = sigma(a) too.
+        ok = all(T[sigma[a] * n + sigma[y]] == sigma[T[a * n + y]]
+                 for a in moved for y in middles)
+        for a in moved:
+            sigma[a] = a
+        return ok
+
+    twins = [[] for _ in range(n)]
+    for b in range(2, f + 1):
+        for a in range(1, b):
+            if swaps((a, b)):
+                twins[b].append(a)
+    for p in range(f + 1, m + 1, 2):
+        if swaps((p, p + 1)):
+            twins[p + 1].append(p)
+        for q in range(p + 2, m + 1, 2):
+            if swaps((p, q), (p + 1, q + 1)):
+                twins[q].append(p)
+                twins[q + 1].append(p + 1)
+            if swaps((p, q + 1), (p + 1, q)):
+                twins[q].append(p + 1)
+                twins[q + 1].append(p)
+    return twins
+
+
 def _min_key_search(T, n, f, stop_below=False):
     """Least key over frame-preserving relabelings.
 
@@ -250,6 +309,17 @@ def _min_key_search(T, n, f, stop_below=False):
     open until a later placement gives it one, which will be at least the
     next free position; while it is open, the entries after it are not
     compared.
+
+    When T is complete, a candidate e for position d is skipped while one
+    of its earlier twins (_twins) is unplaced.  The swap sigma of e
+    and that twin fixes every placed element and maps T onto itself, so
+    following a relabeling below e by sigma gives one below the twin that
+    reads the same key.  Each skipped relabeling thus has a same-key
+    relabeling earlier in candidate order, and the earliest of each key is
+    never skipped: the least key, the stop_below answer and so every
+    emitted table are those of the search without the skip.  Partial
+    tables (the inner-node test) are not scanned for twins, so the skip
+    adds no work to the inner nodes of the enumeration.
     """
     m = n - 2
     cells = _key_cells(m)
@@ -261,10 +331,13 @@ def _min_key_search(T, n, f, stop_below=False):
     inv = [0] * n   # position -> original element
     pos = [0] * n + [n + 1, n]   # original element -> position (0 = unplaced)
     pos[n - 1] = n - 1
-    if stop_below and n + 1 in best:
+    if n + 1 in best:
         # -1 lies below every entry: tying the decided prefix concludes nothing
         cut = best.index(n + 1)
         best[cut:] = [-1] * (size - cut)
+        twins = [()] * n
+    else:
+        twins = _twins(T, n, f)
     fixed = list(range(1, f + 1))
     paired = list(range(f + 1, m + 1))
 
@@ -301,6 +374,9 @@ def _min_key_search(T, n, f, stop_below=False):
         end = (nxt - 1) * nxt // 2   # the entries of columns 1..nxt-1
         for e in cands:
             if pos[e]:
+                continue
+            # an unplaced earlier twin's subtree is a relabeled copy of e's
+            if twins[e] and not all(pos[t] for t in twins[e]):
                 continue
             place(d, e, width)
             k = j
@@ -380,8 +456,15 @@ def canonical_key(E: FiniteEffectAlgebra):
     return (n, f, _min_key_search(T, n, f))
 
 
+def _frame(E: FiniteEffectAlgebra):
+    """The first two fields of the key: size and self-paired middles."""
+    return (E.size, sum(x == y for x, y in enumerate(E.orth)))
+
+
 def is_isomorphic(E1: FiniteEffectAlgebra, E2: FiniteEffectAlgebra) -> bool:
-    return canonical_key(E1) == canonical_key(E2)
+    """Whether the keys are equal; algebras of different frames are told
+    apart without a min-key search."""
+    return _frame(E1) == _frame(E2) and canonical_key(E1) == canonical_key(E2)
 
 
 # -- chunked depth-first generation --------------------------------------

@@ -7,6 +7,8 @@ import time
 import pytest
 
 from conftest import make_b2, make_c4, make_e5
+from effalg import enumeration
+from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.core import FiniteEffectAlgebra, derive_order, validate
 from effalg.enumeration import (
     EnumerationConfig,
@@ -21,7 +23,8 @@ from effalg.enumeration import (
 from effalg.errors import BudgetExceeded, CheckpointError
 from effalg.states import StateVector, find_state, fm_feasible, state_system
 from oracle_frame_min import frame_min_key
-from oracle_labelled import frames, labelled_count, orbit_sums
+from oracle_labelled import (automorphism_count, frame_of, frames,
+                             labelled_count, orbit_sums)
 from oracle_naive import naive_classes
 
 # class counts per size, frozen after the first computation and cross-checked
@@ -119,6 +122,46 @@ class TestCanonicalKey:
                     shuffled = self._shuffle(E, 100 * i + seed)
                     assert canonical_key(shuffled) == frame_min_key(shuffled), \
                         (n, i, seed)
+
+    def test_symmetric_extremes_match_frame_minimum(self):
+        # twins of every kind: self-paired middles (k x chain(2)), elements
+        # of two pairs (boolean(3)), the two elements of one pair (the
+        # horizontal sum of boolean(2)s); and none at all
+        twin_free = next(E for E in enumerate_size(8)
+                         if automorphism_count(E, frame_of(E)) == 1)
+        algebras = [horizontal_sum([chain(2)] * k) for k in range(3, 8)] + [
+            boolean_algebra(3),
+            horizontal_sum([boolean_algebra(2)] * 3),
+            product([boolean_algebra(1), chain(3)]),
+            twin_free,
+        ]
+        for i, E in enumerate(algebras):
+            assert E.size <= 9
+            for seed in range(3):
+                shuffled = self._shuffle(E, 100 * i + seed)
+                assert canonical_key(shuffled) == frame_min_key(shuffled), \
+                    (i, seed)
+
+    def test_fully_self_paired_within_half_a_second(self):
+        # all 9! relabelings of the self-paired middles are automorphisms
+        E = horizontal_sum([chain(2)] * 9)
+        algebras = [E] + [self._shuffle(E, seed) for seed in range(4)]
+        start = time.perf_counter()
+        keys = [canonical_key(A) for A in algebras]
+        elapsed = time.perf_counter() - start
+        assert keys == [keys[0]] * 5
+        assert elapsed < 0.5, elapsed
+
+    def test_isomorphism_needs_no_search_across_frames(self, b2, c4,
+                                                        monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("min-key search called")
+
+        monkeypatch.setattr(enumeration, "_min_key_search", search)
+        assert not is_isomorphic(b2, chain(2))  # sizes 4 and 3
+        assert not is_isomorphic(b2, horizontal_sum([chain(2)] * 2))  # f 0, 2
+        with pytest.raises(AssertionError, match="min-key search"):
+            is_isomorphic(b2, c4)  # size 4, f = 0 both
 
     def test_distinguishes_non_isomorphic(self, b2, c4):
         assert canonical_key(b2) != canonical_key(c4)

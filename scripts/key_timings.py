@@ -5,16 +5,16 @@ and inside enumerate.
 Prints three tables, each row with a digest of its output, so that two
 trees can be compared row by row:
 
-* canonical_key over the size-9 classes (enumerated in-process) and a
-  fixed set of seeded relabelings of each, one row per frame f (the
-  number of self-paired middles);
+* canonical_key over the size-9 classes (enumerated in-process) and 10
+  seeded relabelings of each, one row per frame f (the number of
+  self-paired middles);
 * canonical_key of the horizontal sum of k copies of chain(2), whose k
   middles are all self-paired and interchangeable, for k = 7..9;
-* the command `enumerate N --json --jobs J` in a fresh interpreter
+* the command `enumerate 11 --json --jobs J` in a fresh interpreter
   (start-up included), with the sha256 of its stdout.
 
     python3 scripts/key_timings.py
-    python3 scripts/key_timings.py --relabelings 20 --enumerate 10 --jobs 2
+    python3 scripts/key_timings.py --jobs 2
 """
 
 import argparse
@@ -28,23 +28,20 @@ from pathlib import Path
 
 root = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(root / "src"))
+sys.path.insert(0, str(root / "perfbench"))
 
 from effalg.construct import chain, horizontal_sum
-from effalg.core import FiniteEffectAlgebra
 from effalg.enumeration import EnumerationConfig, canonical_key, enumerate_algebras
+from workloads import relabel
+
+RELABELINGS = 10   # seeded relabelings per size-9 class
+ENUMERATE = 11     # size of the timed enumerate command
 
 
-def relabel(E, rng) -> FiniteEffectAlgebra:
-    perm = list(E.elements())
+def shuffled(E, rng):
+    perm = list(range(E.size))
     rng.shuffle(perm)
-    table = [[None] * E.size for _ in range(E.size)]
-    for x in E.elements():
-        for y in E.elements():
-            v = E.sum[x][y]
-            if v is not None:
-                table[perm[x]][perm[y]] = perm[v]
-    return FiniteEffectAlgebra(size=E.size, zero=perm[E.zero], one=perm[E.one],
-                               sum=tuple(tuple(r) for r in table))
+    return relabel(E, perm)
 
 
 def digest(data) -> str:
@@ -60,10 +57,6 @@ def timed_keys(algebras):
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--relabelings", type=int, default=10,
-                        help="seeded relabelings per size-9 class (default 10)")
-    parser.add_argument("--enumerate", type=int, default=11, metavar="N",
-                        help="size of the timed enumerate command; 0 skips it")
     parser.add_argument("--jobs", type=int, default=1,
                         help="--jobs of the enumerate command (default 1)")
     args = parser.parse_args()
@@ -72,9 +65,9 @@ def main() -> int:
     by_frame = {}
     for E in enumerate_algebras(EnumerationConfig(size=9)):
         f = sum(x == y for x, y in enumerate(E.orth))
-        copies = [E] + [relabel(E, rng) for _ in range(args.relabelings)]
+        copies = [E] + [shuffled(E, rng) for _ in range(RELABELINGS)]
         by_frame.setdefault(f, []).append(copies)
-    print(f"size-9 classes, {args.relabelings} relabelings each")
+    print(f"size-9 classes, {RELABELINGS} relabelings each")
     print(f"{'f':>4} {'classes':>8} {'keys':>6} {'secs':>8}  digest")
     total, every = 0.0, []
     for f in sorted(by_frame):
@@ -94,16 +87,14 @@ def main() -> int:
         secs, keys = timed_keys([E])
         print(f"{k:>4} {E.size:>5} {secs:>8.4f}  {digest(keys)}", flush=True)
 
-    if args.enumerate:
-        command = ["enumerate", str(args.enumerate), "--json",
-                   "--jobs", str(args.jobs)]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        t0 = time.perf_counter()
-        out = subprocess.run([sys.executable, "-m", "effalg.cli", *command],
-                             env=env, capture_output=True, check=True).stdout
-        secs = time.perf_counter() - t0
-        print(f"\n{' '.join(command)}: {secs:.2f} s, "
-              f"sha256 {hashlib.sha256(out).hexdigest()[:16]}")
+    command = ["enumerate", str(ENUMERATE), "--json", "--jobs", str(args.jobs)]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "effalg.cli", *command],
+                         env=env, capture_output=True, check=True).stdout
+    secs = time.perf_counter() - t0
+    print(f"\n{' '.join(command)}: {secs:.2f} s, "
+          f"sha256 {hashlib.sha256(out).hexdigest()[:16]}")
     return 0
 
 

@@ -22,7 +22,7 @@ from .algfile import AlgebraFileError, dump_algebra, load_algebra
 from .core import FiniteEffectAlgebra, derive_order, element_order, validate
 from .enumeration import (EnumerationConfig, _rows_to_jsonable,
                           enumerate_algebras, find_stateless, read_checkpoint,
-                          resumed_count, write_checkpoint)
+                          write_checkpoint)
 from .errors import (BudgetExceeded, CheckpointError, EffectAlgebraError,
                      HypothesisViolated)
 from .states import (
@@ -340,8 +340,7 @@ def _enumerate(args) -> int:
         checkpoint=checkpoint,
         **args.budget,
     )
-    # a resumed run counts the classes of the chunks done before the cut
-    count = resumed_count(config)
+    count = 0
     shown = []
     try:
         for E in enumerate_algebras(config):
@@ -349,6 +348,7 @@ def _enumerate(args) -> int:
             if args.show:
                 shown.append(dump_algebra(E).rstrip())
     except BudgetExceeded as exc:
+        count = exc.checkpoint["yielded"]   # earlier runs' classes included
         if args.checkpoint:
             write_checkpoint(args.checkpoint, exc.checkpoint)
         _emit({"command": "enumerate", "budget_exhausted": True,
@@ -357,6 +357,8 @@ def _enumerate(args) -> int:
               [f"budget exhausted after {count} classes",
                f"checkpoint: {args.checkpoint or '(not saved)'}"])
         return EXIT_BUDGET
+    if checkpoint is not None:
+        count += checkpoint["yielded"]   # the classes of earlier runs
     data = {"command": "enumerate", "size": args.size, "count": count}
     lines = [f"size {args.size}: {count} isomorphism classes"]
     if args.show:
@@ -414,11 +416,11 @@ def cmd_theorems(args) -> int:
         _emit({"command": "theorems", "error": err}, args.json,
               [f"parse error: {err}"])
         return EXIT_PARSE
-    reports = check_all(E)
-    if any(r.error and r.error.startswith("invalid table") for r in reports):
+    if validate(E):
         _emit({"command": "theorems", "valid": False}, args.json,
               ["invalid algebra"])
         return EXIT_INVALID
+    reports = check_all(E)
     rows = _claim_rows(reports)
     data = {
         "command": "theorems",

@@ -16,7 +16,10 @@ the next open cell starts a new column, the search asks whether some
 frame-preserving relabeling beats the identity on that decided prefix.  If
 one does, it beats every completion too, and the subtree is cut.  The
 canonical table's prefixes are never cut, since a relabeling that beat one
-of them would beat the canonical table itself.
+of them would beat the canonical table itself.  Candidates are tried in
+ascending key order (middles ascending, undefined last), so the classes
+come out in ascending canonical key (Read 1978), and the first class met
+with a property is the least one that has it.
 
 The canonical key exported here uses the same frame-preserving minimum, so
 two algebras have equal keys iff they are isomorphic.  One routine,
@@ -50,25 +53,20 @@ __all__ = [
     "enumerate_algebras",
     "canonical_key",
     "is_isomorphic",
-    "for_all",
-    "ForAllResult",
     "find_stateless",
     "StatelessSearch",
     "read_checkpoint",
     "write_checkpoint",
-    "resumed_count",
 ]
 
 UNKNOWN = -2
 UNDEF = -1
 
-CHECKPOINT_VERSION = 3  # 3: chunk prefixes index cells in key order
+CHECKPOINT_VERSION = 4  # 4: a count of completed chunks
 
 # a checkpoint's kind is told by its exact set of fields
-_ENUMERATION_FIELDS = frozenset(
-    {"version", "size", "filters", "completed", "yielded"})
-_STATELESS_FIELDS = frozenset(
-    {"version", "size", "cleared_sizes", "found", "chunks", "checked"})
+_ENUMERATION_FIELDS = frozenset({"version", "size", "filters", "done", "yielded"})
+_STATELESS_FIELDS = frozenset({"version", "size", "done", "checked", "found"})
 _FILTERS = ("lattice_only", "modular_only", "unsharp_only")
 
 
@@ -603,6 +601,13 @@ def _filters(config: EnumerationConfig) -> list[str]:
     return [name for name in _FILTERS if getattr(config, name)]
 
 
+@functools.cache
+def _chunks(n: int):
+    """Every chunk of size n as (f, prefix), in search order."""
+    return tuple((f, prefix) for f in _f_values(n)
+                 for prefix in _collect_prefixes(n, f, _CHUNK_DEPTH))
+
+
 def _chunk_worker(args):
     n, f, prefix, node_budget, deadline = args
     budget = _Budget(node_budget, deadline)
@@ -613,28 +618,26 @@ def _chunk_worker(args):
     return (tables, budget.nodes)
 
 
-def enumerate_algebras(config: EnumerationConfig):
-    """Yield one representative per isomorphism class of the given size.
+class _Cut(Exception):
+    """The budget ran out once the first `done` chunks had completed."""
 
-    Deterministic order; honors filters, budgets, checkpoints, and the
-    process pool.  Raises BudgetExceeded with a checkpoint of completed
-    chunks when a budget runs out.
+    def __init__(self, done: int):
+        self.done = done
+
+
+def _generate(config: EnumerationConfig, budget: _Budget, done: int):
+    """The classes of the chunks after the first `done`, in search order.
+
+    Applies the filters of config but reads neither its budget fields nor
+    its checkpoint: the budget may be shared with other sizes.  Raises
+    _Cut when the budget runs out, after yielding every class of the
+    chunks it counts as done.
     """
-    deadline = (time.monotonic() + config.time_budget
-                if config.time_budget is not None else None)
-    yield from _generate(config, _Budget(config.node_budget, deadline))
-
-
-def _generate(config: EnumerationConfig, budget: _Budget):
-    """enumerate_algebras under a budget that the caller may share with
-    other sizes; the budget fields of config are not read."""
     n = config.size
-    chunks, done, yielded = _resume(config)
-    pending = [c for c in chunks if c not in done]
     # a chunk may spend the nodes left when it is handed out, and stops at
     # the deadline; the whole budget is checked again after each chunk
     args = ((n, f, prefix, budget.nodes_left(), budget.deadline)
-            for f, prefix in pending)
+            for f, prefix in _chunks(n)[done:])
     pool = None
     if config.jobs <= 1:
         results = map(_chunk_worker, args)
@@ -644,28 +647,51 @@ def _generate(config: EnumerationConfig, budget: _Budget):
         pool = mp.Pool(config.jobs)
         results = pool.imap(_chunk_worker, list(args))
     try:
-        for (f, prefix), (tables, nodes) in zip(pending, results):
+        for tables, nodes in results:
             budget.nodes += nodes
             if tables is None or budget.exhausted():
-                raise BudgetExceeded({
-                    "version": CHECKPOINT_VERSION, "size": n,
-                    "filters": _filters(config),
-                    "completed": sorted(done),
-                    "yielded": yielded})
-            done.add((f, prefix))
-            algebras = [FiniteEffectAlgebra(size=n, zero=0, one=n - 1, sum=rows)
-                        for rows in tables]
-            kept = [E for E in algebras if _passes_filters(E, config)]
-            yielded += len(kept)
-            yield from kept
+                raise _Cut(done)
+            done += 1
+            for rows in tables:
+                E = FiniteEffectAlgebra(size=n, zero=0, one=n - 1, sum=rows)
+                if _passes_filters(E, config):
+                    yield E
     finally:
         if pool is not None:
             pool.terminate()
 
 
-def _freeze_chunk_id(cid):
-    f, prefix = cid
-    return (f, tuple((k, v) for k, v in prefix))
+def enumerate_algebras(config: EnumerationConfig):
+    """Yield one representative per isomorphism class of the given size.
+
+    Classes come in ascending canonical_key order: each is emitted as its
+    canonical table, and the search meets tables in key order.  Honors
+    filters, budgets, checkpoints, and the process pool.  Raises
+    BudgetExceeded with a checkpoint of the completed chunks when a budget
+    runs out.
+    """
+    n = config.size
+    done = yielded = 0
+    cp = config.checkpoint
+    if cp is not None:
+        _check_checkpoint(cp, _ENUMERATION_FIELDS, "an enumeration", range(n, n + 1))
+        if cp["filters"] != _filters(config):
+            raise CheckpointError(f"checkpoint taken with filters {cp['filters']!r}, "
+                                  f"not {_filters(config)!r}")
+        if not _is_count(cp["yielded"]):
+            raise CheckpointError("ill-formed enumeration checkpoint")
+        done, yielded = cp["done"], cp["yielded"]
+    deadline = (time.monotonic() + config.time_budget
+                if config.time_budget is not None else None)
+    try:
+        for E in _generate(config, _Budget(config.node_budget, deadline), done):
+            yielded += 1
+            yield E
+    except _Cut as cut:
+        raise BudgetExceeded({
+            "version": CHECKPOINT_VERSION, "size": n,
+            "filters": _filters(config), "done": cut.done,
+            "yielded": yielded}) from None
 
 
 # -- checkpoints -----------------------------------------------------------
@@ -696,8 +722,8 @@ def _is_count(v) -> bool:
 
 
 def _check_checkpoint(cp, fields, kind: str, sizes):
-    """Reject cp unless it has exactly these fields, the current version
-    and a size in sizes."""
+    """Reject cp unless it has exactly these fields, the current version,
+    a size in sizes and a count of that size's chunks done."""
     if not isinstance(cp, dict) or set(cp) != fields:
         raise CheckpointError(f"not a checkpoint of {kind}")
     if cp["version"] != CHECKPOINT_VERSION:
@@ -707,34 +733,10 @@ def _check_checkpoint(cp, fields, kind: str, sizes):
         want = sizes[0] if len(sizes) == 1 else f"{sizes[0]}..{sizes[-1]}"
         raise CheckpointError(f"checkpoint is for size {cp['size']!r}, "
                               f"not {want}")
-
-
-def _resume(config: EnumerationConfig):
-    """All chunks of the enumeration in search order, the set of them that
-    config.checkpoint completed, and how many classes those yielded."""
-    n = config.size
-    chunks = [(f, prefix) for f in _f_values(n)
-              for prefix in _collect_prefixes(n, f, _CHUNK_DEPTH)]
-    cp = config.checkpoint
-    if cp is None:
-        return chunks, set(), 0
-    _check_checkpoint(cp, _ENUMERATION_FIELDS, "an enumeration", range(n, n + 1))
-    if cp["filters"] != _filters(config):
-        raise CheckpointError(f"checkpoint taken with filters {cp['filters']!r}, "
-                              f"not {_filters(config)!r}")
-    try:
-        done = {_freeze_chunk_id(c) for c in cp["completed"]}
-    except (TypeError, ValueError):
-        done = None
-    if done is None or not done <= set(chunks) or not _is_count(cp["yielded"]):
-        raise CheckpointError("checkpoint chunks do not belong to this enumeration")
-    return chunks, done, cp["yielded"]
-
-
-def resumed_count(config: EnumerationConfig) -> int:
-    """Classes yielded before config.checkpoint was taken (0 without one),
-    so that a resumed run can report the count of the whole enumeration."""
-    return _resume(config)[2]
+    total = len(_chunks(cp["size"]))
+    if not _is_count(cp["done"]) or cp["done"] > total:
+        raise CheckpointError(f"checkpoint has done {cp['done']!r} chunks, "
+                              f"not a count of 0..{total}")
 
 
 def _found_algebra(data, n: int) -> FiniteEffectAlgebra:
@@ -747,23 +749,6 @@ def _found_algebra(data, n: int) -> FiniteEffectAlgebra:
         raise CheckpointError(f"checkpoint holds a table that is not a valid "
                               f"algebra of size {n}")
     return E
-
-
-@dataclass(frozen=True)
-class ForAllResult:
-    holds: bool
-    counterexample: FiniteEffectAlgebra | None
-    checked: int
-
-
-def for_all(config: EnumerationConfig, predicate) -> ForAllResult:
-    """Apply a predicate to every enumerated instance; first failure wins."""
-    checked = 0
-    for E in enumerate_algebras(config):
-        checked += 1
-        if not predicate(E):
-            return ForAllResult(False, E, checked)
-    return ForAllResult(True, None, checked)
 
 
 @dataclass(frozen=True)
@@ -781,60 +766,49 @@ def find_stateless(max_n: int, node_budget=None, time_budget=None, jobs=1,
     """Scan sizes 2..max_n for an algebra admitting no state.
 
     Returns the canonically first stateless instance of the smallest size
-    that has one.  The node and time budgets bound the whole scan, all
-    sizes and workers together.  BudgetExceeded carries a checkpoint (with
-    the sizes fully cleared so far and any stateless instances already
-    found at the current size) that can be passed back in to resume.
+    that has one: enumeration meets the classes in ascending canonical_key,
+    so that is the first one met.  The rest of that size is still scanned,
+    so that `checked` counts all of its classes.  The node and time budgets
+    bound the whole scan, all sizes and workers together.  BudgetExceeded
+    carries a checkpoint (the size reached, its chunks done, the classes
+    checked and the stateless instance already met at that size, if any)
+    that can be passed back in to resume.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     budget = _Budget(node_budget, deadline)
-    start_size = 2
-    stateless = []
-    chunk_checkpoint = None
-    checked = 0
+    start_size, done, checked, found = 2, 0, 0, None
     if checkpoint is not None:
         _check_checkpoint(checkpoint, _STATELESS_FIELDS, "a stateless search",
                           range(2, max_n + 1))
-        start_size = checkpoint["size"]
-        if checkpoint["cleared_sizes"] != list(range(2, start_size)):
-            raise CheckpointError(
-                f"checkpoint at size {start_size} has not cleared sizes "
-                f"2..{start_size - 1}")
-        if not (isinstance(checkpoint["found"], list)
-                and isinstance(checkpoint["chunks"], dict)
-                and _is_count(checkpoint["checked"])):
+        if not _is_count(checkpoint["checked"]):
             raise CheckpointError("ill-formed stateless search checkpoint")
-        stateless = [_found_algebra(t, start_size) for t in checkpoint["found"]]
-        chunk_checkpoint = checkpoint["chunks"]
+        start_size, done = checkpoint["size"], checkpoint["done"]
         checked = checkpoint["checked"]
-    cleared = list(range(2, start_size))
+        if checkpoint["found"] is not None:
+            found = _found_algebra(checkpoint["found"], start_size)
 
-    # a size that finds no stateless instance leaves `stateless` empty
     for n in range(start_size, max_n + 1):
-        config = EnumerationConfig(size=n, jobs=jobs, checkpoint=chunk_checkpoint)
-        chunk_checkpoint = None
         try:
-            for E in _generate(config, budget):
+            for E in _generate(EnumerationConfig(size=n, jobs=jobs), budget, done):
                 checked += 1
                 if not isinstance(find_state(E), StateVector):
-                    stateless.append(E)
+                    if found is None:
+                        found = E
                     if progress is not None:
                         progress(E)
-        except BudgetExceeded as exc:
+        except _Cut as cut:
             cp = {
                 "version": CHECKPOINT_VERSION,
                 "size": n,
-                "cleared_sizes": cleared,
-                "found": [_rows_to_jsonable(E.sum) for E in stateless],
-                "chunks": exc.checkpoint,
+                "done": cut.done,
                 "checked": checked,
+                "found": None if found is None else _rows_to_jsonable(found.sum),
             }
-            raise BudgetExceeded(cp, cleared_sizes=tuple(cleared)) from None
-        if stateless:
-            best = min(stateless, key=canonical_key)
-            return StatelessSearch(best, tuple(cleared), checked)
-        cleared.append(n)
-    return StatelessSearch(None, tuple(cleared), checked)
+            raise BudgetExceeded(cp, cleared_sizes=range(2, n)) from None
+        if found is not None:
+            return StatelessSearch(found, tuple(range(2, n)), checked)
+        done = 0
+    return StatelessSearch(None, tuple(range(2, max_n + 1)), checked)
 
 
 def _rows_to_jsonable(rows):

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_b2
+from effalg import enumeration
 from effalg.algfile import AlgebraFileError, dump_algebra, load_algebra, loads_algebra
 from effalg.cli import main
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
-from effalg.enumeration import canonical_key
+from effalg.enumeration import _rows_to_jsonable, canonical_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -273,13 +275,39 @@ class TestCheckpoints:
         cp.write_text("garbage")
         self.assert_rejected("enumerate", "5", "--checkpoint", str(cp))
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version(self, tmp_path, version):
-        # chunk ids name cells by index, and the cell order changed in 3
+        # chunk ids name cells by index, and the cell order changed in 3;
+        # 4 counts the chunks done instead
         cp = tmp_path / "cp.json"
         cp.write_text(json.dumps({"version": version, "size": 7, "filters": [],
                                   "completed": [], "yielded": 0}))
         self.assert_rejected("enumerate", "7", "--checkpoint", str(cp))
+
+    def rewrite(self, cp, **fields):
+        Path(cp).write_text(json.dumps(dict(json.loads(Path(cp).read_text()),
+                                            **fields)))
+
+    @pytest.mark.parametrize("stateless", [False, True])
+    @pytest.mark.parametrize("done", ["over", -1, "1", 1.0, None])
+    def test_done_must_count_chunks(self, tmp_path, stateless, done):
+        mode = ("--find-stateless",) if stateless else ()
+        cp = self.cut(tmp_path, "enumerate", "8", *mode, "--budget-nodes", "1500")
+        if done == "over":
+            done = len(enumeration._chunks(8)) + 1
+        self.rewrite(cp, done=done)
+        self.assert_rejected("enumerate", "8", *mode, "--checkpoint", cp)
+
+    @pytest.mark.parametrize("found", [
+        _rows_to_jsonable(make_b2().sum),   # valid, but of size 4
+        [[-1] * 8] * 8,   # size 8, but 0 + 1 is undefined
+        5, [[0, 1], [1]], [["x"] * 8] * 8])
+    def test_found_must_be_a_valid_table_of_the_size(self, tmp_path, found):
+        cp = self.cut(tmp_path, "enumerate", "8", "--find-stateless",
+                      "--budget-nodes", "1500")
+        self.rewrite(cp, found=found)
+        self.assert_rejected("enumerate", "8", "--find-stateless",
+                             "--checkpoint", cp)
 
     def test_json_error_line(self, tmp_path):
         cp = tmp_path / "cp.json"

@@ -17,7 +17,6 @@ from effalg.enumeration import (
     canonical_key,
     enumerate_algebras,
     find_stateless,
-    for_all,
     is_isomorphic,
 )
 from effalg.errors import BudgetExceeded, CheckpointError
@@ -61,6 +60,12 @@ class TestCounts:
     def test_all_emitted_valid(self):
         for E in enumerate_size(6):
             assert validate(E) == []
+
+    # find_stateless keeps its first hit because of this order
+    @pytest.mark.parametrize("n,jobs", [(n, 1) for n in range(2, 10)] + [(7, 2)])
+    def test_classes_come_in_ascending_key(self, n, jobs):
+        keys = [canonical_key(E) for E in enumerate_size(n, jobs=jobs)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestOrbitCount:
@@ -178,29 +183,13 @@ class TestCanonicalKey:
         assert is_isomorphic(interval(prod, 0, prod.size - 1), prod)
 
 
-class TestForAll:
-    def test_true_predicate(self):
-        res = for_all(EnumerationConfig(size=5), lambda E: validate(E) == [])
-        assert res.holds and res.checked == KNOWN_COUNTS[5]
-
-    def test_false_predicate_finds_b2(self):
-        def is_chain(E):
-            order = derive_order(E)
-            return all(order.leq(x, y) or order.leq(y, x)
-                       for x in E.elements() for y in E.elements())
-        res = for_all(EnumerationConfig(size=4), is_chain)
-        assert not res.holds
-        assert is_isomorphic(res.counterexample, make_b2()) or \
-            res.counterexample.size == 4
-
-
 class TestBudgets:
     def test_node_budget_raises_with_checkpoint(self):
         gen = enumerate_algebras(EnumerationConfig(size=7, node_budget=40))
         with pytest.raises(BudgetExceeded) as info:
             list(gen)
         cp = info.value.checkpoint
-        assert cp["size"] == 7 and "completed" in cp
+        assert cp["size"] == 7 and "done" in cp
 
     def test_resume_completes_the_enumeration(self):
         full = [canonical_key(E) for E in enumerate_size(6)]
@@ -226,13 +215,13 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded):
             find_stateless(8, node_budget=2196)
 
-    def test_stateless_checkpoint_must_have_cleared_the_sizes_below(self):
+    def test_stateless_checkpoint_needs_its_fields_and_size(self):
         with pytest.raises(BudgetExceeded) as info:
             find_stateless(8, node_budget=1500)
         cp = info.value.checkpoint
         assert cp["size"] == 8
         with pytest.raises(CheckpointError):
-            find_stateless(8, checkpoint=dict(cp, cleared_sizes=[2, 3]))
+            find_stateless(8, checkpoint=dict(cp, cleared_sizes=[2, 3, 4, 5, 6, 7]))
         with pytest.raises(CheckpointError):
             find_stateless(7, checkpoint=cp)
 
@@ -270,3 +259,13 @@ class TestFindStateless:
         fixture = load_algebra(Path(__file__).parent / "fixtures" / "stateless9.alg")
         res = find_stateless(9)
         assert canonical_key(fixture) == canonical_key(res.found)
+
+    def test_resume_keeps_the_first_hit(self):
+        full = find_stateless(9)
+        # this cut comes after the first stateless class of size 9
+        with pytest.raises(BudgetExceeded) as info:
+            find_stateless(9, node_budget=4500)
+        cp = json.loads(json.dumps(info.value.checkpoint))
+        assert cp["size"] == 9 and cp["found"] is not None
+        res = find_stateless(9, checkpoint=cp)
+        assert res.found.sum == full.found.sum and res.checked == full.checked == 133

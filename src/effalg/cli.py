@@ -61,18 +61,26 @@ def _emit(data, as_json: bool, text_lines):
             print(line)
 
 
-def _load(path):
+def _load(args, command):
+    """The algebra in args.file, or None once the parse error is emitted."""
     try:
-        return load_algebra(path), None
+        return load_algebra(args.file)
     except AlgebraFileError as exc:
-        return None, str(exc)
+        _emit({"command": command, "error": str(exc)}, args.json,
+              [f"parse error: {exc}"])
+        return None
+
+
+def _invalid(args, command, report) -> int:
+    _emit({"command": command, "valid": False,
+           "violations": [v.message for v in report]},
+          args.json, ["invalid algebra:"] + [f"  {v}" for v in report])
+    return EXIT_INVALID
 
 
 def cmd_check(args) -> int:
-    E, err = _load(args.file)
+    E = _load(args, "check")
     if E is None:
-        _emit({"command": "check", "error": err}, args.json,
-              [f"parse error: {err}"])
         return EXIT_PARSE
     report = validate(E)
     data = {
@@ -110,17 +118,12 @@ def _dot(E) -> str:
 
 
 def cmd_analyze(args) -> int:
-    E, err = _load(args.file)
+    E = _load(args, "analyze")
     if E is None:
-        _emit({"command": "analyze", "error": err}, args.json,
-              [f"parse error: {err}"])
         return EXIT_PARSE
     report = validate(E)
     if report:
-        _emit({"command": "analyze", "valid": False,
-               "violations": [v.message for v in report]},
-              args.json, ["invalid algebra:"] + [f"  {v}" for v in report])
-        return EXIT_INVALID
+        return _invalid(args, "analyze", report)
 
     order = derive_order(E)
     flags = classify(E)
@@ -183,17 +186,12 @@ def _certificate_payload(cert: InfeasibilityCertificate):
 
 
 def cmd_states(args) -> int:
-    E, err = _load(args.file)
+    E = _load(args, "states")
     if E is None:
-        _emit({"command": "states", "error": err}, args.json,
-              [f"parse error: {err}"])
         return EXIT_PARSE
     report = validate(E)
     if report:
-        _emit({"command": "states", "valid": False,
-               "violations": [v.message for v in report]},
-              args.json, ["invalid algebra:"] + [f"  {v}" for v in report])
-        return EXIT_INVALID
+        return _invalid(args, "states", report)
 
     trace = None
     try:
@@ -411,10 +409,8 @@ def cmd_theorems(args) -> int:
               args.json, lines)
         return EXIT_OK if all(res.passed for res in results) else EXIT_CLAIM
 
-    E, err = _load(args.file)
+    E = _load(args, "theorems")
     if E is None:
-        _emit({"command": "theorems", "error": err}, args.json,
-              [f"parse error: {err}"])
         return EXIT_PARSE
     if validate(E):
         _emit({"command": "theorems", "valid": False}, args.json,

@@ -218,16 +218,10 @@ class OrderStructure:
 
 
 def _least_of(mask: int, up: tuple[int, ...]) -> int | None:
-    """The element of mask below all others in mask, if any."""
+    """The element of mask below all others in mask, if any; passed the
+    down-sets instead, the element above all others."""
     for u in bits(mask):
         if up[u] & mask == mask:
-            return u
-    return None
-
-
-def _greatest_of(mask: int, down: tuple[int, ...]) -> int | None:
-    for u in bits(mask):
-        if down[u] & mask == mask:
             return u
     return None
 
@@ -248,6 +242,7 @@ def _compute_order(E: FiniteEffectAlgebra) -> OrderStructure:
         ux = up[x]
         for y in bits(ux):
             down[y] |= 1 << x
+    up, down = tuple(up), tuple(down)
     # antisymmetry and transitivity sanity: consequences of the axioms,
     # checked explicitly so corrupted tables fail fast here
     for x in range(n):
@@ -276,8 +271,8 @@ def _compute_order(E: FiniteEffectAlgebra) -> OrderStructure:
     total = True
     for x in range(n):
         for y in range(x, n):
-            j = _least_of(up[x] & up[y], tuple(up))
-            m = _greatest_of(down[x] & down[y], tuple(down))
+            j = _least_of(up[x] & up[y], up)
+            m = _least_of(down[x] & down[y], down)
             join[x][y] = join[y][x] = j
             meet[x][y] = meet[y][x] = m
             if j is None or m is None:
@@ -285,8 +280,8 @@ def _compute_order(E: FiniteEffectAlgebra) -> OrderStructure:
 
     return OrderStructure(
         n=n,
-        up=tuple(up),
-        down=tuple(down),
+        up=up,
+        down=down,
         covers=tuple(covers),
         atoms=atoms,
         atom_mask=sum(1 << a for a in atoms),

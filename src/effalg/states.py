@@ -6,6 +6,11 @@ anywhere near the verdict); infeasibility comes back as a certificate that
 re-verifies by independent arithmetic.  The constructive routes lift a
 subadditive state through a central element, mirroring the atom-dichotomy
 procedure.
+
+The functions here take a valid algebra.  The LP carries no bound rows
+w(x) <= 1: the complement rows w(x) + w(x') = w(1) = 1 and w >= 0 imply
+them, and state_system raises StructuralError on a table where some
+element lacks a unique orthosupplement.
 """
 
 from __future__ import annotations
@@ -64,13 +69,6 @@ class StateVector:
     parent: FiniteEffectAlgebra
     values: tuple[Fraction, ...]
 
-    def value(self, x: int) -> Fraction:
-        return self.values[x]
-
-    def items(self):
-        return [(self.parent.label(x), self.values[x])
-                for x in self.parent.elements()]
-
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -78,7 +76,8 @@ class LinearSystem:
 
     eq_rows: (coeffs, rhs) meaning coeffs . w = rhs
     ineq_rows: (coeffs, rhs) meaning coeffs . w <= rhs
-    Every variable also carries the implicit box 0 <= w_i <= 1.
+    Every variable also satisfies w_i >= 0.  No row says w_i <= 1: the
+    complement rows w(x) + w(x') = w(1) = 1 imply it.
     """
 
     n_vars: int
@@ -102,7 +101,7 @@ class InfeasibilityCertificate:
 
     system: LinearSystem
     eq_mult: tuple[Fraction, ...]
-    bound_mult: tuple[Fraction, ...]  # one per w_i <= 1, nonpositive
+    bound_mult: tuple[Fraction, ...]  # one per w_i <= 1; 0 from the solver
     ineq_mult: tuple[Fraction, ...]  # one per ineq row, nonpositive
 
     def verify(self) -> bool:
@@ -151,8 +150,11 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     """Constraints for a state (plus join subadditivity on request).
 
     Additivity rows are generated once per unordered pair of summands;
-    rows that are tautological given w(zero)=0 and the box are skipped.
+    rows that are tautological given w(zero)=0 are skipped.  E.orth is read
+    first: it raises StructuralError unless every element has exactly one
+    orthosupplement, whose complement row bounds the LP.
     """
+    E.orth
     n = E.size
     eq_rows, eq_labels = [], []
 
@@ -206,76 +208,38 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     )
 
 
-def _implied_bounds(sys: LinearSystem) -> set[int]:
-    """Variables whose bound w_i <= 1 the equality rows imply, given w >= 0.
-
-    A unit row w_u = r with r <= 1 bounds w_u.  When w_u = 1 is such a row,
-    a complement row sum a_j w_j = w_u with every a_j >= 1, such as
-    w(x) + w(x') = w(one), bounds each of its w_j.
-    """
-    out, ones = set(), set()
-    for coeffs, rhs in sys.eq_rows:
-        support = [j for j, v in enumerate(coeffs) if v != 0]
-        if len(support) == 1 and coeffs[support[0]] == 1 and rhs <= 1:
-            out.add(support[0])
-            if rhs == 1:
-                ones.add(support[0])
-    for coeffs, rhs in sys.eq_rows:
-        neg = [u for u, v in enumerate(coeffs) if v < 0]
-        if (rhs == 0 and len(neg) == 1 and coeffs[neg[0]] == -1
-                and neg[0] in ones and all(v >= 1 for v in coeffs if v > 0)):
-            out.update(j for j, v in enumerate(coeffs) if v > 0)
-    return out
-
-
 def _to_standard(sys: LinearSystem):
     """Standard form A z = b, z >= 0 of the presolved system.
 
-    The equality rows kept are the first basis of [coeffs | rhs] (so an
-    inconsistent system keeps a row that contradicts the others), and a
-    bound row w_i <= 1 is kept only where the equalities do not imply it.
-    Returns A, b and the indices of the kept equality rows and bounds;
-    z = (w, slacks of the kept bounds, ineq slacks).
+    The equality rows kept are the first basis of [coeffs | rhs], so an
+    inconsistent system keeps a row that contradicts the others.  No row
+    bounds w_i <= 1, which the complement rows imply.  Returns A, b and the
+    indices of the kept equality rows; z = (w, ineq slacks).
     """
     n = sys.n_vars
     eqs = row_basis([coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
-    implied = _implied_bounds(sys)
-    bounds = [i for i in range(n) if i not in implied]
     k = len(sys.ineq_rows)
-    slacks = len(bounds) + k
-    A, b = [], []
-    for i in eqs:
-        coeffs, rhs = sys.eq_rows[i]
-        A.append(list(coeffs) + [ZERO] * slacks)
-        b.append(rhs)
-    for t, i in enumerate(bounds):
-        rw = [ZERO] * (n + slacks)
-        rw[i] = ONE
-        rw[n + t] = ONE
-        A.append(rw)
-        b.append(ONE)
-    for t, (coeffs, rhs) in enumerate(sys.ineq_rows, start=len(bounds)):
-        rw = list(coeffs) + [ZERO] * slacks
+    A = [list(sys.eq_rows[i][0]) + [ZERO] * k for i in eqs]
+    b = [sys.eq_rows[i][1] for i in eqs]
+    for t, (coeffs, rhs) in enumerate(sys.ineq_rows):
+        rw = list(coeffs) + [ZERO] * k
         rw[n + t] = ONE
         A.append(rw)
         b.append(rhs)
-    return A, b, eqs, bounds
+    return A, b, eqs
 
 
-def _certificate(sys: LinearSystem, farkas, eqs, bounds) -> InfeasibilityCertificate:
+def _certificate(sys: LinearSystem, farkas, eqs) -> InfeasibilityCertificate:
     """The certificate over the whole system: multipliers of the presolved
-    rows in place, 0 on every dropped row."""
+    rows in place, 0 on every dropped row and every bound."""
     lam = iter(farkas)
     eq_mult = [ZERO] * len(sys.eq_rows)
     for i in eqs:
         eq_mult[i] = next(lam)
-    bound_mult = [ZERO] * sys.n_vars
-    for i in bounds:
-        bound_mult[i] = next(lam)
     cert = InfeasibilityCertificate(
         system=sys,
         eq_mult=tuple(eq_mult),
-        bound_mult=tuple(bound_mult),
+        bound_mult=(ZERO,) * sys.n_vars,
         ineq_mult=tuple(lam),
     )
     if not cert.verify():
@@ -285,10 +249,10 @@ def _certificate(sys: LinearSystem, farkas, eqs, bounds) -> InfeasibilityCertifi
 
 
 def _solve(E, sys: LinearSystem):
-    A, b, eqs, bounds = _to_standard(sys)
+    A, b, eqs = _to_standard(sys)
     res = solve_standard(A, b)
     if res.status == "infeasible":
-        return _certificate(sys, res.farkas, eqs, bounds)
+        return _certificate(sys, res.farkas, eqs)
     state = StateVector(E, tuple(res.x[:sys.n_vars]))
     bad = verify_state(E, state, require_subadditive=bool(sys.ineq_rows))
     if bad:
@@ -320,13 +284,14 @@ def state_space_dimension(E: FiniteEffectAlgebra) -> int:
     coordinates some state makes positive.  Each further LP is the
     homogenized system A z - lam b = 0, z >= 0, lam >= 0, with the w_j
     outside that set summing to 1: a solution adds its support to the set,
-    and infeasibility ends the search.  Every bound homogenizes to
-    w_i <= lam, so lam > 0 and z / lam is a state.  Each point found is
-    positive where all earlier ones are 0, so the points are affinely
-    independent and a call solves at most dim + 2 LPs.
+    and infeasibility ends the search.  The rows w(1) = 1 and
+    w(x) + w(x') = w(1) homogenize to w(1) = lam >= w(x), so lam > 0 and
+    z / lam is a state.  Each point found is positive where all earlier
+    ones are 0, so the points are affinely independent and a call solves
+    at most dim + 2 LPs.
     """
     sys = state_system(E, subadditive=False)
-    A, b, eqs, _ = _to_standard(sys)
+    A, b, eqs = _to_standard(sys)
     n = sys.n_vars
     res = solve_standard(A, b)
     if res.status == "infeasible":
@@ -336,8 +301,7 @@ def state_space_dimension(E: FiniteEffectAlgebra) -> int:
     rhs = [ZERO] * len(A) + [ONE]
     while len(support) < n:
         outside = [ZERO if j in support else ONE for j in range(n)]
-        res = solve_standard(
-            homogenized + [outside + [ZERO] * (len(A[0]) + 1 - n)], rhs)
+        res = solve_standard(homogenized + [outside + [ZERO]], rhs)
         if res.status == "infeasible":
             break
         support.update(j for j in range(n) if res.x[j] != 0)

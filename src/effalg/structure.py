@@ -29,6 +29,7 @@ from .errors import (
     NoMinimum,
     NotInSection,
     NotLattice,
+    StructuralError,
 )
 
 __all__ = [
@@ -154,13 +155,9 @@ def sharp_elements(E: FiniteEffectAlgebra) -> ElementSubset:
     to be a sub-effect algebra.
     """
     order = derive_order(E)
-    zero_bit = 1 << E.zero
-    m = 0
-    for x in E.elements():
-        clb = order.down[x] & order.down[E.orth[x]]
-        if clb == zero_bit:
-            m |= 1 << x
-        elif order.meet[x][E.orth[x]] is None:
+    m = sharp_mask(E)
+    for x in bits(((1 << E.size) - 1) & ~m):
+        if order.meet[x][E.orth[x]] is None:
             raise MeetUndefined(x)
     sub = ElementSubset(E, m)
     if order.is_lattice:
@@ -347,20 +344,15 @@ def is_atomic(E: FiniteEffectAlgebra) -> CheckResult:
 def is_archimedean(E: FiniteEffectAlgebra) -> CheckResult:
     """Every nonzero element has finitely many defined multiples.
 
-    The multiples walk is guarded: a cycle (possible only on corrupt
-    tables) is reported as the witness (x,) instead of looping forever.
+    element_order guards the multiples walk: a cycle (possible only on
+    corrupt tables) is reported as the witness (x,) instead of looping
+    forever.
     """
     for x in E.elements():
-        if x == E.zero:
-            continue
-        acc, steps = x, 1
-        while True:
-            nxt = E.sum[acc][x]
-            if nxt is None:
-                break
-            acc = nxt
-            steps += 1
-            if steps > E.size:
+        if x != E.zero:
+            try:
+                element_order(E, x)
+            except StructuralError:
                 return CheckResult(False, (x,))
     return CheckResult(True)
 

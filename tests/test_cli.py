@@ -136,6 +136,36 @@ class TestCheckCommand:
         assert data["valid"] is True and data["violations"] == []
 
 
+class TestFileCommands:
+    """The parse-error and invalid-algebra replies every file command shares."""
+
+    @pytest.mark.parametrize("command", ["check", "analyze", "states", "theorems"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_parse_error_exits_3(self, tmp_path, command, as_json):
+        path = tmp_path / "junk.alg"
+        path.write_text("widgets everywhere\n")
+        code, out = run_cli(command, str(path), *(["--json"] if as_json else []))
+        assert code == 3
+        if as_json:
+            data = json.loads(out)
+            assert set(data) == {"command", "error"} and data["command"] == command
+        else:
+            assert len(out.splitlines()) == 1 and out.startswith("parse error: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "states"])
+    def test_invalid_algebra_lists_violations(self, tmp_path, command):
+        path = tmp_path / "bad.alg"
+        path.write_text("version 1\nelements 0 x 1\nzero 0\none 1\n")
+        message = "element 1 has orthosupplements [] (need exactly one)"
+        code, out = run_cli(command, str(path), "--json")
+        assert code == 2
+        assert json.loads(out) == {"command": command, "valid": False,
+                                   "violations": [message]}
+        code, out = run_cli(command, str(path))
+        assert code == 2
+        assert out == f"invalid algebra:\n  [Eiii] {message}\n"
+
+
 class TestAnalyzeCommand:
     def test_e5_report(self, e5_file):
         code, out = run_cli("analyze", e5_file, "--json")

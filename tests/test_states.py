@@ -10,7 +10,7 @@ import pytest
 from conftest import algebra_from_sums
 from effalg.algfile import load_algebra
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
-from effalg.errors import HypothesisViolated, NotCentral
+from effalg.errors import HypothesisViolated, NotCentral, StructuralError
 from effalg.linsolve import matrix_rank, row_basis
 from effalg.states import (
     ExstateOutcome,
@@ -29,7 +29,6 @@ from effalg.states import (
 
 F = Fraction
 HALF = F(1, 2)
-HEX6_SUMS = [(1, 1, 4), (1, 2, 3), (1, 4, 5), (2, 2, 4), (2, 3, 5)]
 STATELESS9 = Path(__file__).parent / "fixtures" / "stateless9.alg"
 
 
@@ -55,16 +54,15 @@ class TestFindState:
         assert got.values == (F(0), F(1, 3), F(1, 3), F(2, 3), F(2, 3), F(1))
 
     def test_contradictory_table_yields_verified_certificate(self):
-        # not an effect algebra: 1+1=1 forces w(1)+w(1)=w(1) against w(1)=1
-        E = algebra_from_sums(3, 0, 2, [(1, 1, 2), (2, 2, 2)])
-        got = find_state(E)
+        # the smallest stateless algebra: its additivity rows contradict w(1)=1
+        got = find_state(load_algebra(STATELESS9))
         assert isinstance(got, InfeasibilityCertificate)
         assert got.verify()
         assert not fm_feasible(got.system)
 
     def test_certificate_covers_the_unreduced_system(self):
-        # the hexagon's relations, one of them dependent, plus 1+1=1
-        E = algebra_from_sums(6, 0, 5, HEX6_SUMS + [(5, 5, 5)])
+        # the presolve drops dependent rows; the certificate still names them
+        E = load_algebra(STATELESS9)
         sys = state_system(E)
         kept = row_basis([coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
         dropped = [i for i in range(len(sys.eq_rows)) if i not in kept]
@@ -73,7 +71,7 @@ class TestFindState:
         assert isinstance(got, InfeasibilityCertificate)
         assert got.system == sys and got.verify()
         assert all(got.eq_mult[i] == 0 for i in dropped)
-        # every bound w_i <= 1 is implied, so none carries a multiplier
+        # the LP has no bound rows w_i <= 1, so none carries a multiplier
         assert got.bound_mult == (F(0),) * E.size
 
     def test_forty_element_product(self):
@@ -98,26 +96,27 @@ class TestFindState:
 
 
 class TestPresolve:
-    @pytest.mark.parametrize("E, subadditive", [
-        (boolean_algebra(5), False),
-        (boolean_algebra(4), True),
-        (algebra_from_sums(6, 0, 5, HEX6_SUMS + [(5, 5, 5)]), False),
-    ], ids=["boolean5", "boolean4-subadditive", "hexagon-1+1=1"])
-    def test_tableau_is_rank_sized(self, E, subadditive):
+    @pytest.mark.parametrize("E, subadditive, consistent", [
+        (boolean_algebra(5), False, True),
+        (boolean_algebra(4), True, True),
+        (load_algebra(STATELESS9), False, False),
+    ], ids=["boolean5", "boolean4-subadditive", "stateless9"])
+    def test_tableau_is_rank_sized(self, E, subadditive, consistent):
         sys = state_system(E, subadditive=subadditive)
         rank = matrix_rank([coeffs for coeffs, _ in sys.eq_rows])
-        consistent = rank == matrix_rank(
-            [coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
-        A, b, eqs, bounds = _to_standard(sys)
-        assert bounds == []
+        assert consistent == (rank == matrix_rank(
+            [coeffs + (rhs,) for coeffs, rhs in sys.eq_rows]))
+        A, b, eqs = _to_standard(sys)
         assert len(eqs) == rank + (0 if consistent else 1)
         assert len(A) == len(eqs) + len(sys.ineq_rows)
 
-    def test_bound_without_a_complement_row_is_kept(self):
-        # an invalid table: the middle element sums with nothing but zero
-        E = algebra_from_sums(3, 0, 2, [])
-        _, _, _, bounds = _to_standard(state_system(E))
-        assert bounds == [1]
+    @pytest.mark.parametrize("solve", [
+        find_state, find_subadditive_state, state_space_dimension])
+    def test_table_without_complement_rows_is_rejected(self, solve):
+        # an invalid table: the middle element sums with nothing but zero,
+        # so no row w(x) + w(x') = w(1) bounds w(x) by 1
+        with pytest.raises(StructuralError, match="orthosupplements"):
+            solve(algebra_from_sums(3, 0, 2, []))
 
 
 class TestFindSubadditive:
@@ -161,7 +160,8 @@ class TestDimension:
         assert state_space_dimension(hs2) == 2
 
     def test_empty_polytope(self):
-        E = algebra_from_sums(3, 0, 2, [(1, 1, 2), (2, 2, 2)])
+        # a horizontal sum restricts each state to its parts
+        E = horizontal_sum([load_algebra(STATELESS9), chain(3)])
         assert state_space_dimension(E) == -1
 
     def test_one_lp_per_element(self, monkeypatch):
@@ -181,7 +181,7 @@ class TestDimension:
 
     @pytest.mark.parametrize("E, dim", [
         (horizontal_sum([boolean_algebra(2), chain(4), chain(5)]), 1),
-        (algebra_from_sums(3, 0, 2, [(1, 1, 2), (2, 2, 2)]), -1),
+        (load_algebra(STATELESS9), -1),
     ], ids=["horizontal-sum", "empty"])
     def test_at_most_dim_plus_two_lps(self, E, dim, monkeypatch):
         import effalg.states

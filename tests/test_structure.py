@@ -5,7 +5,8 @@ import pytest
 from conftest import algebra_from_sums
 from effalg.construct import boolean_algebra
 from effalg.core import derive_order, element_order, orthosupplement
-from effalg.errors import CapExceeded, HypothesisViolated, NoMinimum, NotInSection
+from effalg.errors import (CapExceeded, HypothesisViolated, MeetUndefined,
+                           NoMinimum, NotInSection)
 from effalg.structure import (
     ElementSubset,
     atom_decomposition,
@@ -26,6 +27,7 @@ from effalg.structure import (
     section_involution,
     sharp_elements,
     sharp_hat_formula,
+    sharp_mask,
     smallest_sharp_over,
 )
 
@@ -45,6 +47,17 @@ class TestSharpElements:
             S = sharp_elements(E)
             for x in S:
                 assert orthosupplement(E, x) in S
+
+    def test_missing_meet_is_reported_at_its_element(self):
+        # the one size-8 class with a missing x meet x': 1 and 2 = 1' are
+        # unsharp with meet 1, while 3 and 4 = 3' have no meet
+        E = algebra_from_sums(8, 0, 7, [
+            (1, 1, 3), (1, 2, 7), (1, 3, 5), (1, 4, 2), (1, 6, 4),
+            (3, 4, 7), (3, 6, 2), (4, 6, 5), (5, 6, 7), (6, 6, 3)])
+        assert sharp_mask(E) == 0b10000001
+        with pytest.raises(MeetUndefined) as info:
+            sharp_elements(E)
+        assert info.value.element == 3
 
 
 class TestCompatible:

@@ -5,7 +5,7 @@ import pytest
 from conftest import algebra_from_sums, make_c4, make_e5
 from effalg.core import FiniteEffectAlgebra
 from effalg.enumeration import EnumerationConfig
-from effalg.errors import UnknownClaim
+from effalg.errors import InternalCheckFailed, UnknownClaim
 from effalg.theorems import (
     CLAIM_IDS,
     SCALE_LIMITED,
@@ -110,6 +110,21 @@ class TestSweeps:
         assert (failed.checked, failed.hypotheses_met) == (1, 1)
         assert before.passed and after.passed
         assert before.checked == after.checked == 4
+
+    def test_internal_alarm_fails_the_claim(self, monkeypatch, e5):
+        import effalg.theorems as th
+
+        def alarm(E):
+            raise InternalCheckFailed("solver state fails verification")
+
+        monkeypatch.setattr(th, "find_subadditive_state", alarm)
+        cid = "state.exists_unsharp_modular"
+        report = check(e5, cid)
+        assert report.failed() and report.error is None
+        assert report.witness == ("internal-check",
+                                  "solver state fails verification")
+        [res] = sweep(EnumerationConfig(size=5), [cid])
+        assert not res.passed and res.counterexample is not None
 
 
 class TestShrink:

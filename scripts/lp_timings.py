@@ -9,9 +9,10 @@ trees can be compared call by call:
     python3 scripts/lp_timings.py
     python3 scripts/lp_timings.py --algebra boolean5 --algebra p40
 
-find_subadditive_state is not run on the 120-element product: with
-about 6,900 join rows and as many slack columns, its dense tableau would
-hold some 50 M entries (about 400 MB of list slots) before a pivot.
+find_subadditive_state is not run on the 120-element product: the
+simplex keeps sparse rows, but states._to_standard still builds its
+input A densely, about 6,900 join rows by 7,000 columns (some 48 M list
+slots, about 400 MB), before the solver sees a row.
 """
 
 import argparse

@@ -19,7 +19,7 @@ import os
 import sys
 
 from .algfile import AlgebraFileError, dump_algebra, load_algebra
-from .core import FiniteEffectAlgebra, derive_order, element_order, validate
+from .core import derive_order, element_order, validate
 from .enumeration import (EnumerationConfig, _rows_to_jsonable,
                           enumerate_algebras, find_stateless, read_checkpoint,
                           write_checkpoint)
@@ -27,7 +27,6 @@ from .errors import (BudgetExceeded, CheckpointError, EffectAlgebraError,
                      HypothesisViolated)
 from .states import (
     InfeasibilityCertificate,
-    StateVector,
     find_state,
     find_subadditive_state,
     fraction_str,

@@ -8,7 +8,7 @@ orthosupplements, differences, iterated sums) is derived from the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotBelow, StructuralError, UndefinedSum, ZeroElement

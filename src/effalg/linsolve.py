@@ -2,10 +2,10 @@
 
 Two independent decision routes:
 
-* phase 1 of the primal simplex method over Fractions (Bland's rule, so
-  runs are deterministic and finite), producing either a feasible vertex
-  or a Farkas certificate of infeasibility.  There is no objective:
-  state existence and the state-space dimension need only feasibility;
+* phase 1 of the primal simplex method (Bland's rule, so runs are
+  deterministic and finite), producing either a feasible vertex or a
+  Farkas certificate of infeasibility.  There is no objective: state
+  existence and the state-space dimension need only feasibility;
 * Fourier-Motzkin elimination, kept deliberately separate so it can serve
   as an oracle for the simplex on small systems.
 
@@ -15,16 +15,20 @@ slacks: a column that is the unit vector e_i of row i (after a row with
 b_i < 0 is negated) is basic in row i from the start, and only the other
 rows get an artificial column.
 
-State LPs are mostly zeros (an additivity or join row has at most three
-nonzero coefficients, a slack column one nonzero), so a pivot works on the
-pivot row's nonzero columns only: it updates those entries in place in
-each row with a nonzero in the pivot column, and in the reduced-cost row.
-An entry that a dense pivot would rewrite as a - f * 0 keeps its value, so
-results are those of the textbook pivot.
+The tableau holds sparse integer rows: a row is a map from column to
+integer numerator with one positive integer denominator, and the gcd of
+all of them is divided out after each update (fraction-free in the sense
+of Edmonds 1967, J. Res. NBS 71B, and Bareiss 1968, Math. Comp. 22).  State
+LPs are mostly zeros (an additivity or join row has at most three nonzero
+coefficients, a slack column one nonzero), so a pivot updates only the rows
+with a nonzero in the pivot column, over the union of their support and
+the pivot row's.  Signs are read off numerators, and the ratio test
+compares by integer cross-multiplication, so every comparison is exact and
+Bland's rule takes the pivots of the textbook Fraction tableau.  The vertex
+and the Farkas multipliers become Fractions only at the end.
 
 row_basis picks a maximal independent set of rows, first in row order, by
-fraction-free elimination (Bareiss 1968, Math. Comp. 22); matrix_rank is
-its size.
+sparse integer elimination; matrix_rank is its size.
 """
 
 from __future__ import annotations
@@ -57,48 +61,85 @@ class SimplexResult(NamedTuple):
     farkas: tuple[Fraction, ...] | None = None  # multipliers over input rows
 
 
-def _pivot(tab, basis, row, col):
-    """Pivot on tab[row][col] in place; returns the pivot row's nonzero columns.
+def _sparse(values):
+    """A rational row as ({column: numerator}, denominator) in lowest terms.
 
-    Only those columns can change, in the pivot row and in every other row
-    with a nonzero entry in col, so the work is (rows touched) x (nonzeros
-    of the pivot row) rather than the whole tableau.
+    The denominator is the lcm of the entries' denominators, so the
+    numerators and it share no common factor.  Zeros are skipped by
+    identity with ZERO first, which is what the callers' dense rows hold.
     """
-    prow = tab[row]
-    nz = [j for j, v in enumerate(prow) if v]
-    piv = prow[col]
-    if piv != 1:
-        for j in nz:
-            prow[j] /= piv
-    for i, r in enumerate(tab):
-        f = r[col]
-        if f and i != row:
-            for j in nz:
-                r[j] -= f * prow[j]
-    basis[row] = col
-    return nz
+    nz = [(j, v) for j, v in enumerate(values) if v is not ZERO and v]
+    den = 1
+    for _, v in nz:
+        den = lcm(den, v.denominator)
+    return {j: v.numerator * (den // v.denominator) for j, v in nz}, den
 
 
-def _run_pivots(tab, obj, basis):
-    """Minimize obj (a mutable reduced-cost row with rhs last) with Bland's rule."""
-    m = len(tab)
+def _reduce(row, den):
+    """Divide the gcd of row's numerators and den out of both, in place;
+    returns the new denominator."""
+    if den == 1:
+        return 1
+    g = gcd(den, *row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        den //= g
+    return den
+
+
+def _eliminate(row, den, prow, pden, col):
+    """Subtract row[col] times the pivot row (prow / pden, 1 in col) from
+    row / den, in place; returns the new denominator.
+
+    With numerators f = row[col] and p = prow, the new row is
+    (row * pden - f * p) / (den * pden), so only the pivot row's columns
+    see a subtraction, and the scaling by pden is skipped when it is 1.
+    """
+    f = row[col]
+    if pden != 1:
+        for j in row:
+            row[j] *= pden
+        den *= pden
+    for j, v in prow.items():
+        t = row.get(j, 0) - f * v
+        if t:
+            row[j] = t
+        else:
+            del row[j]
+    return _reduce(row, den)
+
+
+def _run_pivots(rows, dens, basis, obj, oden, width):
+    """Minimize obj / oden (the reduced-cost row, rhs in column width) with
+    Bland's rule; returns the final denominator of obj."""
     while True:
-        col = next((j for j in range(len(obj) - 1) if obj[j] < 0), -1)
+        col = min((j for j, v in obj.items() if v < 0 and j < width), default=-1)
         if col < 0:
-            return
-        row, best = -1, None
-        for i in range(m):
-            a = tab[i][col]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    best, row = ratio, i
+            return oden
+        # ratio rhs / a per row with a > 0; a row's denominator cancels,
+        # so ratios compare by cross-multiplying numerators
+        row, hits = -1, []
+        for i, r in enumerate(rows):
+            a = r.get(col)
+            if a:
+                hits.append(i)
+                if a > 0:
+                    t = r.get(width, 0)
+                    if row < 0:
+                        row, bt, ba = i, t, a
+                    else:
+                        lhs, rhs = t * ba, bt * a
+                        if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                            row, bt, ba = i, t, a
         assert row >= 0, "phase 1 is bounded below by zero"
-        nz = _pivot(tab, basis, row, col)
-        f = obj[col]
-        prow = tab[row]
-        for j in nz:
-            obj[j] -= f * prow[j]
+        prow = rows[row]
+        pden = dens[row] = _reduce(prow, prow[col])
+        basis[row] = col
+        for i in hits:
+            if i != row:
+                dens[i] = _eliminate(rows[i], dens[i], prow, pden, col)
+        oden = _eliminate(obj, oden, prow, pden, col)
 
 
 def solve_standard(A, b) -> SimplexResult:
@@ -111,50 +152,60 @@ def solve_standard(A, b) -> SimplexResult:
     m = len(A)
     n = len(A[0]) if m else 0
     neg = [b[i] < 0 for i in range(m)]
-    tab, support = [], []
+    rows, dens = [], []
     count = [0] * n  # nonzeros per column
     for i in range(m):
-        row = [(-Fraction(v) if neg[i] else Fraction(v)) if v else ZERO
-               for v in A[i]]
-        nz = [j for j, v in enumerate(row) if v is not ZERO]
-        for j in nz:
-            count[j] += 1
-        tab.append(row)
-        support.append(nz)
+        row, den = _sparse([*A[i], b[i]])  # rhs in column n for now
+        if neg[i]:
+            for j in row:
+                row[j] = -row[j]
+        for j in row:
+            if j < n:
+                count[j] += 1
+        rows.append(row)
+        dens.append(den)
     # a row starts from its first unit column (a slack) where it has one,
     # and from an artificial column otherwise
-    basis = [next((j for j in support[i] if count[j] == 1 and tab[i][j] == 1), None)
+    basis = [next((j for j, v in rows[i].items()
+                   if j < n and count[j] == 1 and v == dens[i]), None)
              for i in range(m)]
     art = [i for i in range(m) if basis[i] is None]
     width = n + len(art)
-    for i in range(m):
-        rhs = Fraction(b[i])
-        tab[i] += [ZERO] * len(art) + [-rhs if neg[i] else rhs]
+    for i, row in enumerate(rows):
+        if n in row:
+            row[width] = row.pop(n)
     for t, i in enumerate(art):
-        tab[i][n + t] = ONE
+        rows[i][n + t] = dens[i]
         basis[i] = n + t
     start = list(basis)
 
     # minimize the artificial total; an artificial column's cost 1 cancels
     # its own row's -1, so its reduced cost starts at 0
-    obj = [ZERO] * (width + 1)
+    oden = 1
     for i in art:
-        for j in support[i]:
-            obj[j] -= tab[i][j]
-        obj[-1] -= tab[i][-1]
-    _run_pivots(tab, obj, basis)
-    if obj[-1] < 0:
+        oden = lcm(oden, dens[i])
+    obj = {}
+    for i in art:
+        scale = oden // dens[i]
+        for j, v in rows[i].items():
+            if j < n or j == width:
+                obj[j] = obj.get(j, 0) - v * scale
+    obj = {j: v for j, v in obj.items() if v}
+    oden = _run_pivots(rows, dens, basis, obj, _reduce(obj, oden), width)
+    if obj.get(width, 0) < 0:
         # reduced cost under a starting column k of row i is cost_k - y_i,
         # with cost 1 for an artificial and 0 for a slack
-        lam = tuple((-1 if neg[i] else 1) * ((ONE if k >= n else ZERO) - obj[k])
-                    for i, k in enumerate(start))
-        return SimplexResult("infeasible", farkas=lam)
+        lam = []
+        for i, k in enumerate(start):
+            y = Fraction((oden if k >= n else 0) - obj.get(k, 0), oden)
+            lam.append(-y if neg[i] else y)
+        return SimplexResult("infeasible", farkas=tuple(lam))
 
     # an artificial left in the basis sits at 0, so x is read off as it is
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = tab[i][-1]
+            x[bi] = Fraction(rows[i].get(width, 0), dens[i])
     return SimplexResult("feasible", x=tuple(x))
 
 
@@ -233,22 +284,26 @@ def row_basis(rows) -> list[int]:
     """Indices of the first maximal independent set of rational rows.
 
     A row is kept when it is independent of the rows kept before it.  Each
-    row, scaled to integers, is reduced against the kept rows in turn by
-    Bareiss's fraction-free step: the division by the previous pivot is
-    exact, so entries stay integers the size of the matrix's minors.
+    row, as a sparse integer row, is reduced by the kept rows in the order
+    they were kept, and only by those whose pivot column it has: a kept row
+    is zero in the pivot column of every row kept before it, so a later
+    step never brings back a column an earlier one cleared.  A step is the
+    simplex's elimination, with the kept row scaled to 1 in its pivot
+    column.
     """
-    kept = []  # (pivot column, reduced row) of each kept row
+    kept = []  # (pivot column, row, denominator) with value 1 in the pivot column
     out = []
-    for idx, row in enumerate(rows):
-        r = _integer_row([Fraction(v) for v in row])
-        prev = 1
-        for col, pivot_row in kept:
-            p, f = pivot_row[col], r[col]
-            r = [(p * a - f * q) // prev for a, q in zip(r, pivot_row)]
-            prev = p
-        col = next((j for j, v in enumerate(r) if v != 0), None)
-        if col is not None:
-            kept.append((col, r))
+    for idx, values in enumerate(rows):
+        r, den = _sparse(values)
+        for col, krow, kden in kept:
+            if col in r:
+                den = _eliminate(r, den, krow, kden, col)
+        if r:
+            col = min(r)
+            if r[col] < 0:
+                for j in r:
+                    r[j] = -r[j]
+            kept.append((col, r, _reduce(r, r[col])))
             out.append(idx)
     return out
 

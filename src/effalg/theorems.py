@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -299,8 +301,32 @@ def _center_identity(E):
     return True, None
 
 
+# While check_all or sweep runs: [instance, its find_subadditive_state
+# result], so modular.measure and state.exists_unsharp_modular solve the
+# instance's subadditive LP once between them
+_SHARED_LP: ContextVar[list | None] = ContextVar("_SHARED_LP", default=None)
+
+
+@contextmanager
+def _one_lp_per_instance():
+    token = _SHARED_LP.set([None, None])
+    try:
+        yield
+    finally:
+        _SHARED_LP.reset(token)
+
+
+def _subadditive_state(E):
+    shared = _SHARED_LP.get()
+    if shared is None:
+        return find_subadditive_state(E)
+    if shared[0] is not E:
+        shared[:] = E, find_subadditive_state(E)
+    return shared[1]
+
+
 def _modular_measure(E):
-    got = find_subadditive_state(E)
+    got = _subadditive_state(E)
     if not isinstance(got, StateVector):
         return True, None  # no subadditive state to test; nothing claimed
     order = derive_order(E)
@@ -356,7 +382,7 @@ def _atom_dichotomy(E):
 
 
 def _subadditive_exists(E):
-    if not isinstance(find_subadditive_state(E), StateVector):
+    if not isinstance(_subadditive_state(E), StateVector):
         return False, ("infeasible",)
     return True, None
 
@@ -531,13 +557,17 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
 
 
 def check_all(E: FiniteEffectAlgebra) -> list[ClaimReport]:
-    """Every registered claim, in stable registry order."""
+    """Every registered claim, in stable registry order.
+
+    The claims that need the instance's subadditive LP share one solve.
+    """
     bad = validate(E)
     if bad:
         return [ClaimReport(cid, _REGISTRY[cid].statement, False, (), None,
                             None, error=f"invalid table: {bad[0]}")
                 for cid in CLAIM_IDS]
-    return [check(E, cid) for cid in CLAIM_IDS]
+    with _one_lp_per_instance():
+        return [check(E, cid) for cid in CLAIM_IDS]
 
 
 @dataclass(frozen=True)
@@ -556,7 +586,8 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     first counterexample, and the pass ends once every claim has failed.
     The config's time budget bounds the claim checks too: the deadline is
     read after each instance, and BudgetExceeded (with no checkpoint) ends
-    a sweep that has passed it.
+    a sweep that has passed it.  The claims that need an instance's
+    subadditive LP share one solve.
     """
     from .enumeration import enumerate_algebras
 
@@ -569,19 +600,20 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     met = dict.fromkeys(claim_ids, 0)
     failures = {}
     live = list(checked)
-    for E in enumerate_algebras(config):
-        for cid in live:
-            checked[cid] += 1
-            report = check(E, cid)
-            if report.hypotheses_met:
-                met[cid] += 1
-                if report.conclusion_holds is False:
-                    failures[cid] = shrink_counterexample(E, cid)
-        live = [cid for cid in live if cid not in failures]
-        if not live:
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(None)
+    with _one_lp_per_instance():
+        for E in enumerate_algebras(config):
+            for cid in live:
+                checked[cid] += 1
+                report = check(E, cid)
+                if report.hypotheses_met:
+                    met[cid] += 1
+                    if report.conclusion_holds is False:
+                        failures[cid] = shrink_counterexample(E, cid)
+            live = [cid for cid in live if cid not in failures]
+            if not live:
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded(None)
     return [SweepResult(cid, cid not in failures, failures.get(cid),
                         met[cid], checked[cid]) for cid in claim_ids]
 

@@ -1,10 +1,13 @@
-"""Dense phase-1 simplex oracle, and an independent Farkas check.
+"""Dense phase-1 simplex and row-basis oracles, and an independent Farkas check.
 
 solve_dense decides A x = b, x >= 0 the textbook way: every pivot rewrites
 every entry of every row it touches, zeros included.  It makes the same
 choices as linsolve.solve_standard (the first unit column of a row starts
 it, Bland's rule picks the entering column, the ratio test breaks ties by
 the smaller basic index), so the two must return equal results.
+
+dense_row_basis is textbook Gaussian elimination over Fractions, an oracle
+for linsolve.row_basis.
 
 Deliberately independent of the linsolve module; usable for the state LPs
 of algebras up to a few dozen elements.
@@ -76,6 +79,25 @@ def solve_dense(A, b):
         if k < n:
             x[k] = tab[i][-1]
     return "feasible", tuple(x), None
+
+
+def dense_row_basis(rows):
+    """Indices of the rows independent of the rows before them: each row is
+    reduced by the kept rows, scaled to a leading 1, in the order kept."""
+    kept = []  # (pivot column, reduced row with 1 there)
+    out = []
+    for idx, row in enumerate(rows):
+        r = [Fraction(v) for v in row]
+        for col, k in kept:
+            f = r[col]
+            if f != 0:
+                r = [a - f * c for a, c in zip(r, k)]
+        col = next((j for j, v in enumerate(r) if v != 0), None)
+        if col is not None:
+            inv = 1 / r[col]
+            kept.append((col, [v * inv for v in r]))
+            out.append(idx)
+    return out
 
 
 def verify_farkas(A, b, lam) -> bool:

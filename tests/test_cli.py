@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_b2
 from effalg import enumeration
-from effalg.algfile import AlgebraFileError, dump_algebra, load_algebra, loads_algebra
+from effalg.algfile import AlgebraFileError, dump_algebra, loads_algebra
 from effalg.cli import main
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.enumeration import _rows_to_jsonable, canonical_key

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import make_b2, make_c3, make_c4, make_e5, make_hs2
 from effalg.construct import (
-    ConstructionSpec,
     boolean_algebra,
     build,
     central_decomposition,

@@ -2,13 +2,12 @@
 
 import pytest
 
-from conftest import algebra_from_sums, make_b2, make_c3, make_c4, make_e5, make_hs2
+from conftest import algebra_from_sums, make_b2, make_c3, make_hs2
 from effalg.core import (
     FiniteEffectAlgebra,
     derive_order,
     difference,
     element_order,
-    is_valid,
     oplus_sum,
     orthosupplement,
     validate,

@@ -1,11 +1,13 @@
 """The exact simplex and its Fourier-Motzkin counterpart."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import effalg.states
+from effalg.algfile import load_algebra
 from effalg.construct import boolean_algebra, chain, product
 from effalg.linsolve import (
     SimplexResult,
@@ -14,10 +16,11 @@ from effalg.linsolve import (
     row_basis,
     solve_standard,
 )
-from effalg.states import find_subadditive_state, state_space_dimension
-from oracle_dense_simplex import solve_dense, verify_farkas
+from effalg.states import find_state, find_subadditive_state, state_space_dimension
+from oracle_dense_simplex import dense_row_basis, solve_dense, verify_farkas
 
 F = Fraction
+STATELESS9 = Path(__file__).parent / "fixtures" / "stateless9.alg"
 
 
 class TestSimplex:
@@ -146,7 +149,8 @@ class TestDenseOracle:
     @pytest.mark.parametrize("call, E", [
         (find_subadditive_state, boolean_algebra(4)),
         (state_space_dimension, product([boolean_algebra(2), chain(3)])),
-    ], ids=["subadditive-boolean4", "dimension-b2xc3"])
+        (find_state, load_algebra(STATELESS9)),
+    ], ids=["subadditive-boolean4", "dimension-b2xc3", "certificate-stateless9"])
     def test_same_state_lps_as_dense_pivots(self, call, E, monkeypatch):
         lps = []
 
@@ -176,3 +180,44 @@ class TestRank:
     def test_basis_is_first_in_row_order(self):
         rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1, 3)], [F(1), F(1)]]
         assert row_basis(rows) == [0, 2]
+
+
+@st.composite
+def dependent_rows(draw):
+    """Rows [coeffs | rhs] of 2-7 columns, mostly zero, with entries up to
+    10**6 over denominators up to 10**3.  Each row after the first few may
+    instead be zero, a scaled copy of an earlier row, a combination of two,
+    or an earlier row with its rhs moved (inconsistent with it)."""
+    n = draw(st.integers(2, 7))
+    big = st.integers(-10**6, 10**6).filter(bool)
+    entry = st.one_of(st.just(F(0)), st.just(F(0)),
+                      st.builds(F, big, st.integers(1, 10**3)))
+    scale = st.builds(F, big, st.integers(1, 10**6))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(
+            ["fresh", "fresh", "zero", "scaled", "combined", "inconsistent"]))
+        if kind == "zero":
+            rows.append([F(0)] * n)
+        elif kind == "fresh" or not rows:
+            rows.append([draw(entry) for _ in range(n)])
+        elif kind == "scaled":
+            c, r = draw(scale), draw(st.sampled_from(rows))
+            rows.append([c * v for v in r])
+        elif kind == "combined":
+            c, d = draw(scale), draw(scale)
+            r, s = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([c * u + d * v for u, v in zip(r, s)])
+        else:
+            r = draw(st.sampled_from(rows))
+            rows.append(r[:-1] + [r[-1] + draw(scale)])
+    return rows
+
+
+class TestRowBasisOracle:
+    @given(dependent_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_same_rows_as_dense_elimination(self, rows):
+        kept = row_basis(rows)
+        assert kept == dense_row_basis(rows)
+        assert matrix_rank(rows) == len(kept)

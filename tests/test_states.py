@@ -13,7 +13,6 @@ from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.errors import HypothesisViolated, NotCentral, StructuralError
 from effalg.linsolve import matrix_rank, row_basis
 from effalg.states import (
-    ExstateOutcome,
     InfeasibilityCertificate,
     StateVector,
     _to_standard,
@@ -150,6 +149,16 @@ class TestFindSubadditive:
         assert isinstance(got, StateVector)
         assert verify_state(E, got, require_subadditive=True) == []
         assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+    def test_120_element_dimension_within_two_seconds(self):
+        # 1,100 additivity rows: about 0.3 s with sparse integer rows, 3.7 s
+        # with a dense Fraction tableau and a dense row basis
+        E = product([boolean_algebra(3), chain(4), chain(2)])
+        t0 = time.perf_counter()
+        dim = state_space_dimension(E)
+        elapsed = time.perf_counter() - t0
+        assert dim == 4
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 class TestDimension:

@@ -4,9 +4,8 @@ import pytest
 
 from conftest import algebra_from_sums
 from effalg.construct import boolean_algebra
-from effalg.core import derive_order, element_order, orthosupplement
-from effalg.errors import (CapExceeded, HypothesisViolated, MeetUndefined,
-                           NoMinimum, NotInSection)
+from effalg.core import derive_order, orthosupplement
+from effalg.errors import CapExceeded, MeetUndefined, NotInSection
 from effalg.structure import (
     ElementSubset,
     atom_decomposition,
@@ -22,7 +21,6 @@ from effalg.structure import (
     is_compact,
     is_lattice_ideal,
     is_modular,
-    is_sub_effect_algebra,
     mv_identity_holds,
     section_involution,
     sharp_elements,

@@ -2,14 +2,13 @@
 
 import pytest
 
-from conftest import algebra_from_sums, make_c4, make_e5
-from effalg.core import FiniteEffectAlgebra
+from conftest import algebra_from_sums, make_c4
 from effalg.enumeration import EnumerationConfig
 from effalg.errors import InternalCheckFailed, UnknownClaim
+from effalg.states import find_subadditive_state
 from effalg.theorems import (
     CLAIM_IDS,
     SCALE_LIMITED,
-    ClaimReport,
     check,
     check_all,
     join_difference_family_holds,
@@ -66,6 +65,29 @@ class TestCheckAll:
 
     def test_deterministic(self, e5):
         assert check_all(e5) == check_all(e5)
+
+    def test_one_subadditive_lp_per_instance(self, monkeypatch, e5):
+        import effalg.theorems as th
+
+        solved = []
+
+        def counted(E):
+            solved.append(E)
+            return find_subadditive_state(E)
+
+        monkeypatch.setattr(th, "find_subadditive_state", counted)
+        # E5 meets the hypotheses of modular.measure and of
+        # state.exists_unsharp_modular, which both need its subadditive LP
+        reports = {r.claim_id: r for r in check_all(e5)}
+        for cid in ("modular.measure", "state.exists_unsharp_modular"):
+            assert reports[cid].hypotheses_met and reports[cid].conclusion_holds
+        assert solved == [e5]
+        solved.clear()
+        ids = ["modular.measure", "state.exists_unsharp_modular"]
+        measure, exists = sweep(EnumerationConfig(size=6), ids)
+        assert 0 < exists.hypotheses_met < measure.hypotheses_met
+        assert len(solved) == measure.hypotheses_met
+        assert len({id(E) for E in solved}) == len(solved)
 
     def test_conclusion_none_iff_hypotheses_unmet(self, corpus):
         for E in corpus:

@@ -25,13 +25,16 @@ The canonical key exported here uses the same frame-preserving minimum, so
 two algebras have equal keys iff they are isomorphic.  One routine,
 _min_key_search, computes the key and answers both canonicity tests.
 
-On a complete table that routine skips interchangeable elements, a cheap
-case of pruning by known automorphisms (McKay 1998).  Two candidates for
-the same positions are twins when swapping them, together with their
-orthosupplements, is an automorphism of the table; a candidate is skipped
+That routine skips interchangeable elements, a cheap case of pruning by
+known automorphisms (McKay 1998), on complete tables and on the partial
+tables of the inner-node test alike.  Two candidates for the same positions
+are twins when swapping them, together with their orthosupplements, maps
+the table onto itself, open cells to open cells; a candidate is skipped
 while an earlier twin is unplaced, since its subtree is a relabeled copy of
 the twin's with the same keys.  A table whose m middles are self-paired and
-interchangeable then costs m relabelings instead of m!.
+interchangeable then costs m relabelings instead of m!, and so does an
+early inner node of a frame with many self-paired middles, where few cells
+are decided and most middles are still interchangeable.
 """
 
 from __future__ import annotations
@@ -144,6 +147,7 @@ class _Search:
                     mask |= 1 << v
             rowvals[x] = mask
         self.rowvals = rowvals
+        self.undef_row = [UNDEF] * n
         self.occ = [[] for _ in range(n)]
         self.trail = []
         # key order (_key_cells), so that the decided cells form a prefix of
@@ -152,22 +156,14 @@ class _Search:
 
     # -- assignment with propagation ------------------------------------
 
-    def _check_triple(self, x, y, z) -> bool:
-        T, n = self.T, self.n
-        xy = T[x * n + y]
-        if xy == UNKNOWN:
-            return True
-        yz = T[y * n + z]
-        if yz == UNKNOWN:
-            return True
-        left = UNDEF if xy == UNDEF else T[xy * n + z]
-        right = UNDEF if yz == UNDEF else T[x * n + yz]
-        if left == UNKNOWN or right == UNKNOWN:
-            return True
-        return left == right
-
     def assign(self, x, y, v) -> bool:
-        """Set cell (x, y) (and its mirror) to v; propagate; False on conflict."""
+        """Set cell (x, y) (and its mirror) to v; propagate; False on conflict.
+
+        x and y are middles and v is a middle or UNDEF.  The associativity
+        conditions that the new cell takes part in are tested once each:
+        T is symmetric, so (a+b)+c = a+(b+c) is the same condition as
+        (c+b)+a = c+(b+a).  A condition holds while one of its cells is open.
+        """
         T, n = self.T, self.n
         cur = T[x * n + y]
         if cur != UNKNOWN:
@@ -185,26 +181,40 @@ class _Search:
             self.occ[v].append((x, y))
             # partner rule: x+y=v forces y+v' = x' and x+v' = y'
             ov = self.orth[v]
-            if not self.assign(min(y, ov), max(y, ov), self.orth[x]):
+            if not (self.assign(y, ov, self.orth[x]) if y < ov
+                    else self.assign(ov, y, self.orth[x])):
                 return False
-            if x != y and not self.assign(min(x, ov), max(x, ov), self.orth[y]):
+            if x != y and not (self.assign(x, ov, self.orth[y]) if x < ov
+                               else self.assign(ov, x, self.orth[y])):
                 return False
-        check = self._check_triple
+        # rows read after the partner rule, so that they hold its writes.  A
+        # middle's row holds UNDEF in its last column, so row[UNDEF] is UNDEF.
+        rx = T[x * n:x * n + n]
+        ry = T[y * n:y * n + n]
+        rv = T[v * n:v * n + n] if v >= 0 else self.undef_row
+        # (x+y)+z = x+(y+z) for every z, and (x+y)+z = y+(x+z) when x != y
         for z in range(n):
-            if not check(x, y, z) or not check(z, x, y):
+            w = rv[z]
+            if w == UNKNOWN:
+                continue
+            a = ry[z]
+            if a != UNKNOWN and w != rx[a] != UNKNOWN:
                 return False
-            if x != y and (not check(y, x, z) or not check(z, y, x)):
-                return False
-        for p, q in self.occ[x]:
-            if not check(p, q, y) or not check(y, p, q):
-                return False
-            if not check(q, p, y) or not check(y, q, p):
-                return False
-        if y != x:
-            for p, q in self.occ[y]:
-                if not check(p, q, x) or not check(x, p, q):
+            if x != y:
+                a = rx[z]
+                if a != UNKNOWN and w != ry[a] != UNKNOWN:
                     return False
-                if not check(q, p, x) or not check(x, q, p):
+        # x = p+q gives v = p+(q+y) = q+(p+y), and y = p+q gives
+        # v = p+(q+x) = q+(p+x)
+        for s, row in ((x, ry), (y, rx)) if x != y else ((x, ry),):
+            for p, q in self.occ[s]:
+                a = row[q]
+                if a != UNKNOWN and v != (T[p * n + a] if a >= 0 else UNDEF) \
+                        != UNKNOWN:
+                    return False
+                a = row[p]
+                if a != UNKNOWN and v != (T[q * n + a] if a >= 0 else UNDEF) \
+                        != UNKNOWN:
                     return False
         return True
 
@@ -236,24 +246,27 @@ def _key_cells(m: int):
 
 
 def _twins(T, n, f):
-    """Per middle e, the list of e's earlier twins in the complete table T.
+    """Per middle e, the list of e's earlier twins in the table T.
 
-    Two candidates for the same positions are twins when swapping them is
-    an automorphism of T: two self-paired middles a, b by (a b); elements
-    a, b of two orthosupplement pairs by (a b)(a' b'); the two elements of
-    one pair by (a a').
+    Two candidates for the same positions are twins when swapping them maps
+    T onto itself: two self-paired middles a, b by (a b); elements a, b of
+    two orthosupplement pairs by (a b)(a' b'); the two elements of one pair
+    by (a a').  T may be partial; the swap fixes UNKNOWN as it fixes UNDEF,
+    so it must map open cells to open cells and decided cells to decided
+    cells of the swapped value.
     """
     m = n - 2
     middles = range(1, m + 1)
-    undefined = [T[x * n:x * n + n].count(UNDEF) for x in range(n)]
-    sigma = list(range(n)) + [UNDEF]   # the swap tried; sigma[UNDEF] = UNDEF
+    # a swap keeps each row's numbers of undefined sums and of open cells
+    sig = [0] * n
+    for x in middles:
+        row = T[x * n:x * n + n]
+        sig[x] = (row.count(UNDEF), row.count(UNKNOWN))
+    # the swap tried; it fixes UNKNOWN and UNDEF
+    sigma = list(range(n)) + [UNKNOWN, UNDEF]
 
     def swaps(*transpositions) -> bool:
         # whether these disjoint transpositions, applied together, fix T
-        for a, b in transpositions:
-            # a swap keeps each row's number of undefined sums
-            if undefined[a] != undefined[b]:
-                return False
         for a, b in transpositions:
             sigma[a], sigma[b] = b, a
         moved = [a for t in transpositions for a in t]
@@ -271,16 +284,18 @@ def _twins(T, n, f):
     twins = [[] for _ in range(n)]
     for b in range(2, f + 1):
         for a in range(1, b):
-            if swaps((a, b)):
+            if sig[a] == sig[b] and swaps((a, b)):
                 twins[b].append(a)
     for p in range(f + 1, m + 1, 2):
-        if swaps((p, p + 1)):
+        if sig[p] == sig[p + 1] and swaps((p, p + 1)):
             twins[p + 1].append(p)
         for q in range(p + 2, m + 1, 2):
-            if swaps((p, q), (p + 1, q + 1)):
+            if sig[p] == sig[q] and sig[p + 1] == sig[q + 1] \
+                    and swaps((p, q), (p + 1, q + 1)):
                 twins[q].append(p)
                 twins[q + 1].append(p + 1)
-            if swaps((p, q + 1), (p + 1, q)):
+            if sig[p] == sig[q + 1] and sig[p + 1] == sig[q] \
+                    and swaps((p, q + 1), (p + 1, q)):
                 twins[q].append(p + 1)
                 twins[q + 1].append(p)
     return twins
@@ -308,16 +323,18 @@ def _min_key_search(T, n, f, stop_below=False):
     next free position; while it is open, the entries after it are not
     compared.
 
-    When T is complete, a candidate e for position d is skipped while one
-    of its earlier twins (_twins) is unplaced.  The swap sigma of e
-    and that twin fixes every placed element and maps T onto itself, so
-    following a relabeling below e by sigma gives one below the twin that
-    reads the same key.  Each skipped relabeling thus has a same-key
-    relabeling earlier in candidate order, and the earliest of each key is
-    never skipped: the least key, the stop_below answer and so every
-    emitted table are those of the search without the skip.  Partial
-    tables (the inner-node test) are not scanned for twins, so the skip
-    adds no work to the inner nodes of the enumeration.
+    A candidate e for position d is skipped while one of its earlier twins
+    (_twins) is unplaced.  The swap sigma of e and that twin fixes every
+    placed element and maps T onto itself, so following a relabeling below
+    e by sigma gives one below the twin that reads the same entries.  This
+    holds on a partial T too: sigma maps decided cells to decided cells of
+    the swapped value and open cells to open cells, so the two relabelings
+    meet an open cell at the same entry and are compared alike, entry by
+    entry.  Each skipped relabeling thus has a relabeling earlier in
+    candidate order that reads the same key, and the earliest of each key
+    is never skipped: the least key, the stop_below answer (on complete
+    and on partial tables) and so every cut and every emitted table are
+    those of the search without the skip.
     """
     m = n - 2
     cells = _key_cells(m)
@@ -333,28 +350,10 @@ def _min_key_search(T, n, f, stop_below=False):
         # -1 lies below every entry: tying the decided prefix concludes nothing
         cut = best.index(n + 1)
         best[cut:] = [-1] * (size - cut)
-        twins = [()] * n
-    else:
-        twins = _twins(T, n, f)
+    twins = _twins(T, n, f)
+    orth = _involution(n, f)
     fixed = list(range(1, f + 1))
     paired = list(range(f + 1, m + 1))
-
-    def orth_of(e):
-        # paired middles sit in adjacent original pairs (f+1,f+2), ...
-        return e + 1 if (e - f) % 2 == 1 else e - 1
-
-    def place(d, e, width):
-        inv[d] = e
-        pos[e] = d
-        if width == 2:
-            p = orth_of(e)
-            inv[d + 1] = p
-            pos[p] = d + 1
-
-    def unplace(e, width):
-        pos[e] = 0
-        if width == 2:
-            pos[orth_of(e)] = 0
 
     def descend(d, j) -> bool:
         # the entries before j equal best's; True once a relabeling is found
@@ -376,7 +375,11 @@ def _min_key_search(T, n, f, stop_below=False):
             # an unplaced earlier twin's subtree is a relabeled copy of e's
             if twins[e] and not all(pos[t] for t in twins[e]):
                 continue
-            place(d, e, width)
+            inv[d] = e
+            pos[e] = d
+            if width == 2:
+                inv[d + 1] = orth[e]
+                pos[orth[e]] = d + 1
             k = j
             while k < end:
                 i, dd = cells[k]
@@ -392,17 +395,17 @@ def _min_key_search(T, n, f, stop_below=False):
                     k = -1
                     break
                 elif stop_below:
-                    unplace(e, width)
-                    return True
+                    k = -2   # below the identity
+                    break
                 else:
                     if b != n + 2:
                         best[k + 1:] = [n + 2] * (size - k - 1)
                     best[k] = enc
                     k += 1
-            if k >= 0 and descend(nxt, k):
-                unplace(e, width)
+            hit = k == -2 or k >= 0 and descend(nxt, k)
+            pos[e] = pos[orth[e]] = 0
+            if hit:
                 return True
-            unplace(e, width)
         return False
 
     found = descend(1, 0)

@@ -12,8 +12,13 @@ from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.core import FiniteEffectAlgebra, derive_order, validate
 from effalg.enumeration import (
     EnumerationConfig,
+    _Budget,
     _chunk_worker,
+    _chunks,
     _f_values,
+    _run_chunk,
+    _Search,
+    _twins,
     canonical_key,
     enumerate_algebras,
     find_stateless,
@@ -43,6 +48,14 @@ class TestCounts:
     def test_larger_sizes(self):
         assert len(enumerate_size(8)) == KNOWN_COUNTS[8]
         assert len(enumerate_size(9)) == KNOWN_COUNTS[9]
+
+    def test_search_visits_a_fixed_number_of_nodes(self):
+        # the pruning is pinned, not just the classes: testing fewer
+        # associativity conditions per cell still emits every class, at
+        # the cost of more nodes
+        assert len(enumerate_size(9, node_budget=5493)) == KNOWN_COUNTS[9]
+        with pytest.raises(BudgetExceeded):
+            enumerate_size(9, node_budget=5492)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_naive_oracle(self, n):
@@ -181,6 +194,27 @@ class TestCanonicalKey:
         prod = product([boolean_algebra(1), X])
         assert is_isomorphic(prod, X) is False  # 8 elements vs 4
         assert is_isomorphic(interval(prod, 0, prod.size - 1), prod)
+
+
+class TestTwinSkip:
+    def test_open_cells_leave_middles_twins(self):
+        # with no sum of two middles decided, any two self-paired middles
+        # can be swapped, open cells going to open cells
+        n = 6
+        twins = _twins(_Search(n, n - 2).T, n, n - 2)
+        assert twins[1:n - 1] == [list(range(1, b)) for b in range(1, n - 1)]
+
+    def test_nearly_self_paired_frames_within_half_a_second(self):
+        # the inner-node tests of these frames face up to 10! relabelings
+        # of partial tables, which the twin skip brings down to a few
+        chunks = [(f, prefix) for f, prefix in _chunks(12) if f in (8, 10)]
+        classes = {8: 0, 10: 0}
+        start = time.perf_counter()
+        for f, prefix in chunks:
+            classes[f] += len(_run_chunk(12, f, prefix, _Budget(None, None)))
+        elapsed = time.perf_counter() - start
+        assert classes == {8: 3, 10: 1}
+        assert elapsed < 0.5, elapsed
 
 
 class TestBudgets:

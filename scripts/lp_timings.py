@@ -8,11 +8,6 @@ trees can be compared call by call:
 
     python3 scripts/lp_timings.py
     python3 scripts/lp_timings.py --algebra boolean5 --algebra p40
-
-find_subadditive_state is not run on the 120-element product: the
-simplex keeps sparse rows, but states._to_standard still builds its
-input A densely, about 6,900 join rows by 7,000 columns (some 48 M list
-slots, about 400 MB), before the solver sees a row.
 """
 
 import argparse
@@ -42,7 +37,6 @@ CALLS = {
     "state_space_dimension": state_space_dimension,
     "find_subadditive_state": find_subadditive_state,
 }
-SKIPPED = {("p120", "find_subadditive_state")}
 
 
 def digest(result) -> str:
@@ -70,9 +64,6 @@ def main() -> int:
     for name in args.algebra or list(ALGEBRAS):
         E = build(parse_construction(ALGEBRAS[name]))
         for call, fn in CALLS.items():
-            if (name, call) in SKIPPED:
-                print(f"{name:<9} {E.size:>5} {call:<23} {'-':>8}  not run")
-                continue
             t0 = time.perf_counter()
             result = fn(E)
             secs = time.perf_counter() - t0

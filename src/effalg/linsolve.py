@@ -9,9 +9,10 @@ Two independent decision routes:
 * Fourier-Motzkin elimination, kept deliberately separate so it can serve
   as an oracle for the simplex on small systems.
 
-Everything works on the standard form  A x = b, x >= 0; callers add slack
-variables for inequalities and upper bounds.  Phase 1 starts from those
-slacks: a column that is the unit vector e_i of row i (after a row with
+Everything works on the standard form  A x = b, x >= 0, a row of A being
+(column, coefficient) pairs in column order; callers add slack variables
+for inequalities and upper bounds.  Phase 1 starts from those slacks: the
+first column of row i that is the unit vector e_i (after a row with
 b_i < 0 is negated) is basic in row i from the start, and only the other
 rows get an artificial column.
 
@@ -61,14 +62,15 @@ class SimplexResult(NamedTuple):
     farkas: tuple[Fraction, ...] | None = None  # multipliers over input rows
 
 
-def _sparse(values):
-    """A rational row as ({column: numerator}, denominator) in lowest terms.
+def _sparse(pairs):
+    """A rational row of (column, value) pairs as ({column: numerator},
+    denominator) in lowest terms.
 
     The denominator is the lcm of the entries' denominators, so the
-    numerators and it share no common factor.  Zeros are skipped by
-    identity with ZERO first, which is what the callers' dense rows hold.
+    numerators and it share no common factor.  A zero value is skipped.
+    The map keeps the pairs' column order.
     """
-    nz = [(j, v) for j, v in enumerate(values) if v is not ZERO and v]
+    nz = [(j, v) for j, v in pairs if v]
     den = 1
     for _, v in nz:
         den = lcm(den, v.denominator)
@@ -142,20 +144,20 @@ def _run_pivots(rows, dens, basis, obj, oden, width):
         oden = _eliminate(obj, oden, prow, pden, col)
 
 
-def solve_standard(A, b) -> SimplexResult:
-    """Decide A x = b, x >= 0 by phase 1 of the simplex method.
+def solve_standard(A, b, n) -> SimplexResult:
+    """Decide A x = b, x >= 0 over n columns by phase 1 of the simplex method.
 
-    Returns a deterministic feasible vertex, or a Farkas certificate:
-    multipliers lam over the rows of A with lam.A <= 0 componentwise and
-    lam.b > 0.
+    Each row of A is a tuple of (column, coefficient) pairs in increasing
+    column order, every column below n.  Returns a deterministic feasible
+    vertex x of length n, or a Farkas certificate: multipliers lam over the
+    rows of A with lam.A <= 0 componentwise and lam.b > 0.
     """
     m = len(A)
-    n = len(A[0]) if m else 0
     neg = [b[i] < 0 for i in range(m)]
     rows, dens = [], []
     count = [0] * n  # nonzeros per column
     for i in range(m):
-        row, den = _sparse([*A[i], b[i]])  # rhs in column n for now
+        row, den = _sparse((*A[i], (n, b[i])))  # rhs in column n for now
         if neg[i]:
             for j in row:
                 row[j] = -row[j]
@@ -281,7 +283,8 @@ def fourier_motzkin_feasible(rows, n_vars) -> bool:
 
 
 def row_basis(rows) -> list[int]:
-    """Indices of the first maximal independent set of rational rows.
+    """Indices of the first maximal independent set of rational rows, each
+    a tuple of (column, value) pairs.
 
     A row is kept when it is independent of the rows kept before it.  Each
     row, as a sparse integer row, is reduced by the kept rows in the order
@@ -293,8 +296,8 @@ def row_basis(rows) -> list[int]:
     """
     kept = []  # (pivot column, row, denominator) with value 1 in the pivot column
     out = []
-    for idx, values in enumerate(rows):
-        r, den = _sparse(values)
+    for idx, pairs in enumerate(rows):
+        r, den = _sparse(pairs)
         for col, krow, kden in kept:
             if col in r:
                 den = _eliminate(r, den, krow, kden, col)
@@ -309,5 +312,5 @@ def row_basis(rows) -> list[int]:
 
 
 def matrix_rank(rows) -> int:
-    """Rank of a rational matrix."""
+    """Rank of a rational matrix given as rows of (column, value) pairs."""
     return len(row_basis(rows))

@@ -76,13 +76,15 @@ class LinearSystem:
 
     eq_rows: (coeffs, rhs) meaning coeffs . w = rhs
     ineq_rows: (coeffs, rhs) meaning coeffs . w <= rhs
-    Every variable also satisfies w_i >= 0.  No row says w_i <= 1: the
-    complement rows w(x) + w(x') = w(1) = 1 imply it.
+    coeffs is sparse: a tuple of (column, coefficient) pairs, nonzero
+    coefficients only, in increasing column order, as linsolve takes its
+    rows.  Every variable also satisfies w_i >= 0.  No row says w_i <= 1:
+    the complement rows w(x) + w(x') = w(1) = 1 imply it.
     """
 
     n_vars: int
-    eq_rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    ineq_rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    eq_rows: tuple[tuple[tuple[tuple[int, Fraction], ...], Fraction], ...]
+    ineq_rows: tuple[tuple[tuple[tuple[int, Fraction], ...], Fraction], ...]
     eq_labels: tuple[str, ...]
     ineq_labels: tuple[str, ...]
     var_labels: tuple[str, ...] = ()
@@ -113,8 +115,8 @@ class InfeasibilityCertificate:
         combo = [ZERO] * n
         total = ZERO
         for lam, (coeffs, rhs) in zip(self.eq_mult, sys.eq_rows):
-            for j in range(n):
-                combo[j] += lam * coeffs[j]
+            for j, c in coeffs:
+                combo[j] += lam * c
             total += lam * rhs
         for i, mu in enumerate(self.bound_mult):
             if mu > 0:
@@ -124,8 +126,8 @@ class InfeasibilityCertificate:
         for nu, (coeffs, rhs) in zip(self.ineq_mult, sys.ineq_rows):
             if nu > 0:
                 return False
-            for j in range(n):
-                combo[j] += nu * coeffs[j]
+            for j, c in coeffs:
+                combo[j] += nu * c
             total += nu * rhs
         return all(v <= 0 for v in combo) and total > 0
 
@@ -146,6 +148,15 @@ class InfeasibilityCertificate:
         return out
 
 
+def _pairs(points):
+    """The sparse row of (column, coefficient) points: coefficients summed
+    per column, zeros dropped, in increasing column order."""
+    coeffs = {}
+    for x, c in points:
+        coeffs[x] = coeffs.get(x, ZERO) + c
+    return tuple((x, c) for x, c in sorted(coeffs.items()) if c)
+
+
 def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSystem:
     """Constraints for a state (plus join subadditivity on request).
 
@@ -159,10 +170,7 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     eq_rows, eq_labels = [], []
 
     def row(points, rhs, label):
-        coeffs = [ZERO] * n
-        for x, c in points:
-            coeffs[x] += c
-        eq_rows.append((tuple(coeffs), Fraction(rhs)))
+        eq_rows.append((_pairs(points), Fraction(rhs)))
         eq_labels.append(label)
 
     row([(E.zero, ONE)], 0, f"w({E.label(E.zero)}) = 0")
@@ -190,11 +198,7 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
                 if y in (E.zero, E.one):
                     continue
                 j = order.join[x][y]
-                coeffs = [ZERO] * n
-                coeffs[j] += ONE
-                coeffs[x] -= ONE
-                coeffs[y] -= ONE
-                ineq_rows.append((tuple(coeffs), ZERO))
+                ineq_rows.append((_pairs([(j, ONE), (x, -ONE), (y, -ONE)]), ZERO))
                 ineq_labels.append(
                     f"w({E.label(j)}) <= w({E.label(x)}) + w({E.label(y)})")
 
@@ -214,17 +218,16 @@ def _to_standard(sys: LinearSystem):
     The equality rows kept are the first basis of [coeffs | rhs], so an
     inconsistent system keeps a row that contradicts the others.  No row
     bounds w_i <= 1, which the complement rows imply.  Returns A, b and the
-    indices of the kept equality rows; z = (w, ineq slacks).
+    indices of the kept equality rows; z = (w, ineq slacks) has
+    n_vars + len(ineq_rows) columns, and inequality row t has its slack in
+    column n_vars + t, after its own columns.
     """
     n = sys.n_vars
-    eqs = row_basis([coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
-    k = len(sys.ineq_rows)
-    A = [list(sys.eq_rows[i][0]) + [ZERO] * k for i in eqs]
+    eqs = row_basis([coeffs + ((n, rhs),) for coeffs, rhs in sys.eq_rows])
+    A = [sys.eq_rows[i][0] for i in eqs]
     b = [sys.eq_rows[i][1] for i in eqs]
     for t, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        rw = list(coeffs) + [ZERO] * k
-        rw[n + t] = ONE
-        A.append(rw)
+        A.append(coeffs + ((n + t, ONE),))
         b.append(rhs)
     return A, b, eqs
 
@@ -250,7 +253,7 @@ def _certificate(sys: LinearSystem, farkas, eqs) -> InfeasibilityCertificate:
 
 def _solve(E, sys: LinearSystem):
     A, b, eqs = _to_standard(sys)
-    res = solve_standard(A, b)
+    res = solve_standard(A, b, sys.n_vars + len(sys.ineq_rows))
     if res.status == "infeasible":
         return _certificate(sys, res.farkas, eqs)
     state = StateVector(E, tuple(res.x[:sys.n_vars]))
@@ -293,21 +296,19 @@ def state_space_dimension(E: FiniteEffectAlgebra) -> int:
     sys = state_system(E, subadditive=False)
     A, b, eqs = _to_standard(sys)
     n = sys.n_vars
-    res = solve_standard(A, b)
+    res = solve_standard(A, b, n)
     if res.status == "infeasible":
         return -1
     support = {j for j in range(n) if res.x[j] != 0}
-    homogenized = [row + [-bi] for row, bi in zip(A, b)]
+    homogenized = [row + ((n, -bi),) for row, bi in zip(A, b)]
     rhs = [ZERO] * len(A) + [ONE]
     while len(support) < n:
-        outside = [ZERO if j in support else ONE for j in range(n)]
-        res = solve_standard(homogenized + [outside + [ZERO]], rhs)
+        outside = tuple((j, ONE) for j in range(n) if j not in support)
+        res = solve_standard(homogenized + [outside], rhs, n + 1)
         if res.status == "infeasible":
             break
         support.update(j for j in range(n) if res.x[j] != 0)
-    rows = [sys.eq_rows[i][0] for i in eqs]
-    rows += [[ONE if i == j else ZERO for i in range(n)]
-             for j in range(n) if j not in support]
+    rows = A + [((j, ONE),) for j in range(n) if j not in support]
     return n - matrix_rank(rows)
 
 
@@ -319,20 +320,22 @@ def fm_feasible(sys: LinearSystem) -> bool:
     """
     from .linsolve import fourier_motzkin_feasible
 
+    n = sys.n_vars
     rows = []
     for coeffs, rhs in sys.eq_rows:
         rows.append((coeffs, rhs))
-        rows.append((tuple(-v for v in coeffs), -rhs))
+        rows.append((tuple((j, -c) for j, c in coeffs), -rhs))
     rows.extend(sys.ineq_rows)
-    n = sys.n_vars
     for i in range(n):
-        unit = [ZERO] * n
-        unit[i] = -ONE
-        rows.append((tuple(unit), ZERO))  # w_i >= 0
-        unit2 = [ZERO] * n
-        unit2[i] = ONE
-        rows.append((tuple(unit2), ONE))  # w_i <= 1
-    return fourier_motzkin_feasible(rows, n)
+        rows.append((((i, -ONE),), ZERO))  # w_i >= 0
+        rows.append((((i, ONE),), ONE))  # w_i <= 1
+    dense = []
+    for coeffs, rhs in rows:
+        row = [ZERO] * n
+        for j, c in coeffs:
+            row[j] = c
+        dense.append((row, rhs))
+    return fourier_motzkin_feasible(dense, n)
 
 
 @dataclass(frozen=True)

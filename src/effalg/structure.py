@@ -22,7 +22,6 @@ from .core import (
     oplus_sum,
 )
 from .errors import (
-    CapExceeded,
     HypothesisViolated,
     InternalCheckFailed,
     MeetUndefined,
@@ -60,10 +59,7 @@ __all__ = [
     "is_sub_effect_algebra",
     "is_sub_lattice",
     "classify",
-    "DEFAULT_COMPACT_CAP",
 ]
-
-DEFAULT_COMPACT_CAP = 1 << 20
 
 
 class CheckResult(NamedTuple):
@@ -405,12 +401,8 @@ def is_compact(E: FiniteEffectAlgebra, u: int) -> bool:
     u <= join F.
 
     On a finite algebra every D is itself finite and so its own witness:
-    every element is compact.  The definition quantifies over all 2^n
-    subsets D, and algebras with 2^n above DEFAULT_COMPACT_CAP (more than
-    20 elements) raise CapExceeded.
+    every element is compact.
     """
-    if (1 << E.size) > DEFAULT_COMPACT_CAP:
-        raise CapExceeded(f"2^{E.size} subsets exceed the cap {DEFAULT_COMPACT_CAP}")
     return True
 
 

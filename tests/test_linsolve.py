@@ -23,31 +23,50 @@ F = Fraction
 STATELESS9 = Path(__file__).parent / "fixtures" / "stateless9.alg"
 
 
+def pairs(rows):
+    """Dense rows as the solver's sparse rows of (column, value) pairs."""
+    return [tuple((j, v) for j, v in enumerate(row) if v) for row in rows]
+
+
+def solve(A, b):
+    """solve_standard on a dense A."""
+    return solve_standard(pairs(A), b, len(A[0]))
+
+
+def densify(A, n):
+    """Sparse rows as dense rows of n entries."""
+    dense = [[F(0)] * n for _ in A]
+    for row, sparse in zip(dense, A):
+        for j, v in sparse:
+            row[j] = v
+    return dense
+
+
 class TestSimplex:
     def test_simple_feasible(self):
         # x1 + x2 = 1, x >= 0
-        res = solve_standard([[F(1), F(1)]], [F(1)])
+        res = solve([[F(1), F(1)]], [F(1)])
         assert res.status == "feasible"
         assert sum(res.x) == 1
 
     def test_simple_infeasible_with_certificate(self):
         # x1 = -1 with x1 >= 0
         A, b = [[F(1)]], [F(-1)]
-        res = solve_standard(A, b)
+        res = solve(A, b)
         assert res.status == "infeasible"
         assert verify_farkas(A, b, res.farkas)
 
     def test_conflicting_rows(self):
         A = [[F(1), F(1)], [F(1), F(1)]]
         b = [F(1), F(2)]
-        res = solve_standard(A, b)
+        res = solve(A, b)
         assert res.status == "infeasible"
         assert verify_farkas(A, b, res.farkas)
 
     def test_deterministic(self):
         A = [[F(1), F(1), F(1)], [F(1), F(-1), F(0)]]
         b = [F(1), F(0)]
-        runs = {solve_standard(A, b).x for _ in range(3)}
+        runs = {solve(A, b).x for _ in range(3)}
         assert len(runs) == 1
 
 
@@ -123,7 +142,7 @@ class TestAgreement:
             le_rows.append((coeffs, rhs))
             if not has_slack:
                 le_rows.append((tuple(-v for v in coeffs), -rhs))
-        res = solve_standard(A, b)
+        res = solve(A, b)
         assert (res.status == "feasible") == fourier_motzkin_feasible(le_rows, n)
         if res.status == "infeasible":
             assert verify_farkas(A, b, res.farkas)
@@ -141,7 +160,7 @@ class TestDenseOracle:
     @settings(max_examples=300, deadline=None)
     def test_same_result_as_dense_pivots(self, case):
         A, b = case
-        res = solve_standard(A, b)
+        res = solve(A, b)
         assert (res.status, res.x, res.farkas) == solve_dense(A, b)
         if res.status == "infeasible":
             assert verify_farkas(A, b, res.farkas)
@@ -154,9 +173,9 @@ class TestDenseOracle:
     def test_same_state_lps_as_dense_pivots(self, call, E, monkeypatch):
         lps = []
 
-        def dense(A, b):
-            res = solve_standard(A, b)
-            status, x, farkas = solve_dense(A, b)
+        def dense(A, b, n):
+            res = solve_standard(A, b, n)
+            status, x, farkas = solve_dense(densify(A, n), b)
             assert (res.status, res.x, res.farkas) == (status, x, farkas)
             lps.append(status)
             return SimplexResult(status, x, farkas)
@@ -169,17 +188,17 @@ class TestDenseOracle:
 
 class TestRank:
     def test_full_rank(self):
-        assert matrix_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
+        assert matrix_rank(pairs([[F(1), F(0)], [F(0), F(1)]])) == 2
 
     def test_dependent_rows(self):
-        assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
+        assert matrix_rank(pairs([[F(1), F(2)], [F(2), F(4)]])) == 1
 
     def test_zero(self):
-        assert matrix_rank([[F(0), F(0)]]) == 0
+        assert matrix_rank(pairs([[F(0), F(0)]])) == 0
 
     def test_basis_is_first_in_row_order(self):
         rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1, 3)], [F(1), F(1)]]
-        assert row_basis(rows) == [0, 2]
+        assert row_basis(pairs(rows)) == [0, 2]
 
 
 @st.composite
@@ -218,6 +237,6 @@ class TestRowBasisOracle:
     @given(dependent_rows())
     @settings(max_examples=300, deadline=None)
     def test_same_rows_as_dense_elimination(self, rows):
-        kept = row_basis(rows)
+        kept = row_basis(pairs(rows))
         assert kept == dense_row_basis(rows)
-        assert matrix_rank(rows) == len(kept)
+        assert matrix_rank(pairs(rows)) == len(kept)

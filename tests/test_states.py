@@ -63,7 +63,7 @@ class TestFindState:
         # the presolve drops dependent rows; the certificate still names them
         E = load_algebra(STATELESS9)
         sys = state_system(E)
-        kept = row_basis([coeffs + (rhs,) for coeffs, rhs in sys.eq_rows])
+        kept = row_basis([coeffs + ((E.size, rhs),) for coeffs, rhs in sys.eq_rows])
         dropped = [i for i in range(len(sys.eq_rows)) if i not in kept]
         assert dropped
         got = find_state(E)
@@ -104,10 +104,14 @@ class TestPresolve:
         sys = state_system(E, subadditive=subadditive)
         rank = matrix_rank([coeffs for coeffs, _ in sys.eq_rows])
         assert consistent == (rank == matrix_rank(
-            [coeffs + (rhs,) for coeffs, rhs in sys.eq_rows]))
+            [coeffs + ((E.size, rhs),) for coeffs, rhs in sys.eq_rows]))
         A, b, eqs = _to_standard(sys)
         assert len(eqs) == rank + (0 if consistent else 1)
         assert len(A) == len(eqs) + len(sys.ineq_rows)
+        # sparse rows: at most three coefficients and a slack, each column
+        # once and in increasing order
+        assert all(len(row) <= 4 for row in A)
+        assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in A)
 
     @pytest.mark.parametrize("solve", [
         find_state, find_subadditive_state, state_space_dimension])
@@ -159,6 +163,19 @@ class TestFindSubadditive:
         elapsed = time.perf_counter() - t0
         assert dim == 4
         assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+    def test_120_element_hypothesis_class_within_eight_seconds(self):
+        # MO3 with unsharp atoms times two chains: modular, atomic, not
+        # orthomodular; 6,903 join rows.  About 2.2-3.5 s with sparse rows
+        # from state_system on, 4.7-7.3 s and 413 MiB with dense ones
+        E = product([horizontal_sum([chain(2), chain(2), chain(2)]),
+                     chain(3), chain(5)])
+        t0 = time.perf_counter()
+        got = find_subadditive_state(E)
+        elapsed = time.perf_counter() - t0
+        assert isinstance(got, StateVector)
+        assert verify_state(E, got, require_subadditive=True) == []
+        assert elapsed < 8.0, f"{elapsed:.2f} s"
 
 
 class TestDimension:

@@ -5,7 +5,7 @@ import pytest
 from conftest import algebra_from_sums
 from effalg.construct import boolean_algebra
 from effalg.core import derive_order, orthosupplement
-from effalg.errors import CapExceeded, MeetUndefined, NotInSection
+from effalg.errors import MeetUndefined, NotInSection
 from effalg.structure import (
     ElementSubset,
     atom_decomposition,
@@ -165,9 +165,8 @@ class TestCompact:
         assert is_compact(b2, 1)
         assert is_compact(c4, 2)
 
-    def test_more_than_twenty_elements_exceed_the_cap(self):
-        with pytest.raises(CapExceeded):
-            is_compact(boolean_algebra(5), 0)
+    def test_more_than_twenty_elements_are_compact(self):
+        assert is_compact(boolean_algebra(5), 0)
 
 
 class TestSharpBounds:

@@ -2,7 +2,8 @@
 """Time the state LPs on the constructed algebras of the ROADMAP baseline.
 
 Runs find_state, state_space_dimension and find_subadditive_state once
-each on boolean(5) and on the 40-, 60- and 120-element products, and
+each on boolean(5), on the 40-, 60- and 120-element products, and on
+hs120, the 120-element instance of the paper's hypothesis class, and
 prints the wall time of each call with a digest of its result, so two
 trees can be compared call by call:
 
@@ -31,6 +32,8 @@ ALGEBRAS = {
     "p40": "product(boolean(3), chain(4))",
     "p60": "product(boolean(2), chain(2), chain(4))",
     "p120": "product(boolean(3), chain(4), chain(2))",
+    "hs120": ("product(horizontal_sum(chain(2), chain(2), chain(2)), "
+              "chain(3), chain(5))"),
 }
 CALLS = {
     "find_state": find_state,

@@ -10,13 +10,24 @@ procedure.
 The functions here take a valid algebra.  The LP carries no bound rows
 w(x) <= 1: the complement rows w(x) + w(x') = w(1) = 1 and w >= 0 imply
 them, and state_system raises StructuralError on a table where some
-element lacks a unique orthosupplement.
+element lacks a unique orthosupplement.  Its rows have integer
+coefficients (0 and +-1 on the right), so the LP runs in integers from
+state_system to the vertex; verify_state and the certificate check scale
+the values or multipliers by the lcm of their denominators and check in
+integers too.
+
+The subadditive LP puts a join row in the tableau only for a pair that is
+not Mackey compatible.  For compatible x = x1 + d and y = y1 + d the sum
+x1 + y1 + d bounds x and y, so w(x v y) <= w(x) + w(y) - w(d) holds for
+every state and the join row is implied.  state_system still returns every
+join row, and a certificate gives each dropped row multiplier 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .construct import interval
@@ -29,7 +40,7 @@ from .errors import (
     NotCentral,
     NotLattice,
 )
-from .linsolve import ZERO, ONE, matrix_rank, row_basis, solve_standard
+from .linsolve import ZERO, matrix_rank, row_basis, solve_standard
 from .structure import (
     center,
     compatibility_center,
@@ -52,6 +63,7 @@ __all__ = [
     "state_space_dimension",
     "verify_state",
     "state_from_central_finite",
+    "lift_failed",
     "state_via_exstate_procedure",
     "ExstateTrace",
     "fraction_str",
@@ -77,14 +89,17 @@ class LinearSystem:
     eq_rows: (coeffs, rhs) meaning coeffs . w = rhs
     ineq_rows: (coeffs, rhs) meaning coeffs . w <= rhs
     coeffs is sparse: a tuple of (column, coefficient) pairs, nonzero
-    coefficients only, in increasing column order, as linsolve takes its
-    rows.  Every variable also satisfies w_i >= 0.  No row says w_i <= 1:
-    the complement rows w(x) + w(x') = w(1) = 1 imply it.
+    integer coefficients only, in increasing column order, as linsolve
+    takes its rows; rhs is an integer too.  Every variable also satisfies
+    w_i >= 0.  No row says w_i <= 1: the complement rows
+    w(x) + w(x') = w(1) = 1 imply it.  ineq_rows holds a join row for every
+    pair of middles; find_subadditive_state solves with the incompatible
+    pairs' rows only, which imply the rest.
     """
 
     n_vars: int
-    eq_rows: tuple[tuple[tuple[tuple[int, Fraction], ...], Fraction], ...]
-    ineq_rows: tuple[tuple[tuple[tuple[int, Fraction], ...], Fraction], ...]
+    eq_rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    ineq_rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
     eq_labels: tuple[str, ...]
     ineq_labels: tuple[str, ...]
     var_labels: tuple[str, ...] = ()
@@ -97,7 +112,8 @@ class InfeasibilityCertificate:
     For every w in the box satisfying the system:
         (sum over rows of multiplier * row) . w  >=  certified_gap  >  0
     while the combined coefficient vector is <= 0 and w >= 0.  verify()
-    recomputes this from scratch, independently of the solver, and fails a
+    recomputes this from scratch, independently of the solver, in integers
+    (the multipliers scaled by the lcm of their denominators), and fails a
     certificate without exactly one multiplier per row and per bound.
     """
 
@@ -112,23 +128,26 @@ class InfeasibilityCertificate:
         if (len(self.eq_mult) != len(sys.eq_rows) or len(self.bound_mult) != n
                 or len(self.ineq_mult) != len(sys.ineq_rows)):
             return False
-        combo = [ZERO] * n
-        total = ZERO
-        for lam, (coeffs, rhs) in zip(self.eq_mult, sys.eq_rows):
-            for j, c in coeffs:
-                combo[j] += lam * c
-            total += lam * rhs
-        for i, mu in enumerate(self.bound_mult):
-            if mu > 0:
-                return False
-            combo[i] += mu
-            total += mu
-        for nu, (coeffs, rhs) in zip(self.ineq_mult, sys.ineq_rows):
-            if nu > 0:
-                return False
-            for j, c in coeffs:
-                combo[j] += nu * c
-            total += nu * rhs
+        if any(m > 0 for m in self.bound_mult + self.ineq_mult):
+            return False
+        # scaling every multiplier by one positive integer keeps each sign
+        # below, so the sums are taken over integer multipliers
+        den = lcm(*(m.denominator for m in
+                    self.eq_mult + self.bound_mult + self.ineq_mult))
+        combo = [0] * n
+        total = 0
+        for mults, rows in ((self.eq_mult, sys.eq_rows),
+                            (self.ineq_mult, sys.ineq_rows)):
+            for m, (coeffs, rhs) in zip(mults, rows):
+                if m:
+                    k = m.numerator * (den // m.denominator)
+                    for j, c in coeffs:
+                        combo[j] += k * c
+                    total += k * rhs
+        for i, m in enumerate(self.bound_mult):
+            k = m.numerator * (den // m.denominator)
+            combo[i] += k
+            total += k
         return all(v <= 0 for v in combo) and total > 0
 
     def rows(self):
@@ -153,8 +172,17 @@ def _pairs(points):
     per column, zeros dropped, in increasing column order."""
     coeffs = {}
     for x, c in points:
-        coeffs[x] = coeffs.get(x, ZERO) + c
+        coeffs[x] = coeffs.get(x, 0) + c
     return tuple((x, c) for x, c in sorted(coeffs.items()) if c)
+
+
+def _middle_pairs(E: FiniteEffectAlgebra):
+    """The pairs x < y of elements other than zero and one, in the order of
+    state_system's join rows."""
+    middles = [x for x in range(E.size) if x not in (E.zero, E.one)]
+    for i, x in enumerate(middles):
+        for y in middles[i + 1:]:
+            yield x, y
 
 
 def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSystem:
@@ -170,11 +198,11 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     eq_rows, eq_labels = [], []
 
     def row(points, rhs, label):
-        eq_rows.append((_pairs(points), Fraction(rhs)))
+        eq_rows.append((_pairs(points), rhs))
         eq_labels.append(label)
 
-    row([(E.zero, ONE)], 0, f"w({E.label(E.zero)}) = 0")
-    row([(E.one, ONE)], 1, f"w({E.label(E.one)}) = 1")
+    row([(E.zero, 1)], 0, f"w({E.label(E.zero)}) = 0")
+    row([(E.one, 1)], 1, f"w({E.label(E.one)}) = 1")
     for x in range(n):
         if x == E.zero:
             continue
@@ -183,7 +211,7 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
                 continue
             s = E.sum[x][y]
             if s is not None:
-                row([(x, ONE), (y, ONE), (s, -ONE)], 0,
+                row([(x, 1), (y, 1), (s, -1)], 0,
                     f"w({E.label(x)}) + w({E.label(y)}) = w({E.label(s)})")
 
     ineq_rows, ineq_labels = [], []
@@ -191,16 +219,11 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
         order = derive_order(E)
         if not order.is_lattice:
             raise NotLattice("subadditivity needs all joins")
-        for x in range(n):
-            if x in (E.zero, E.one):
-                continue
-            for y in range(x + 1, n):
-                if y in (E.zero, E.one):
-                    continue
-                j = order.join[x][y]
-                ineq_rows.append((_pairs([(j, ONE), (x, -ONE), (y, -ONE)]), ZERO))
-                ineq_labels.append(
-                    f"w({E.label(j)}) <= w({E.label(x)}) + w({E.label(y)})")
+        for x, y in _middle_pairs(E):
+            j = order.join[x][y]
+            ineq_rows.append((_pairs([(j, 1), (x, -1), (y, -1)]), 0))
+            ineq_labels.append(
+                f"w({E.label(j)}) <= w({E.label(x)}) + w({E.label(y)})")
 
     return LinearSystem(
         n_vars=n,
@@ -212,38 +235,45 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     )
 
 
-def _to_standard(sys: LinearSystem):
+def _to_standard(sys: LinearSystem, ineqs=None):
     """Standard form A z = b, z >= 0 of the presolved system.
 
     The equality rows kept are the first basis of [coeffs | rhs], so an
     inconsistent system keeps a row that contradicts the others.  No row
-    bounds w_i <= 1, which the complement rows imply.  Returns A, b and the
-    indices of the kept equality rows; z = (w, ineq slacks) has
-    n_vars + len(ineq_rows) columns, and inequality row t has its slack in
-    column n_vars + t, after its own columns.
+    bounds w_i <= 1, which the complement rows imply.  ineqs lists the
+    inequality rows to keep, in order (all of them by default).  Returns
+    A, b and the indices of the kept equality rows; z = (w, ineq slacks)
+    has n_vars + len(ineqs) columns, and the t-th kept inequality row has
+    its slack in column n_vars + t, after its own columns.
     """
     n = sys.n_vars
+    if ineqs is None:
+        ineqs = range(len(sys.ineq_rows))
     eqs = row_basis([coeffs + ((n, rhs),) for coeffs, rhs in sys.eq_rows])
     A = [sys.eq_rows[i][0] for i in eqs]
     b = [sys.eq_rows[i][1] for i in eqs]
-    for t, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        A.append(coeffs + ((n + t, ONE),))
+    for t, i in enumerate(ineqs):
+        coeffs, rhs = sys.ineq_rows[i]
+        A.append(coeffs + ((n + t, 1),))
         b.append(rhs)
     return A, b, eqs
 
 
-def _certificate(sys: LinearSystem, farkas, eqs) -> InfeasibilityCertificate:
+def _certificate(sys: LinearSystem, farkas, eqs, ineqs) -> InfeasibilityCertificate:
     """The certificate over the whole system: multipliers of the presolved
     rows in place, 0 on every dropped row and every bound."""
     lam = iter(farkas)
     eq_mult = [ZERO] * len(sys.eq_rows)
     for i in eqs:
         eq_mult[i] = next(lam)
+    ineq_mult = [ZERO] * len(sys.ineq_rows)
+    for i in ineqs:
+        ineq_mult[i] = next(lam)
     cert = InfeasibilityCertificate(
         system=sys,
         eq_mult=tuple(eq_mult),
         bound_mult=(ZERO,) * sys.n_vars,
-        ineq_mult=tuple(lam),
+        ineq_mult=tuple(ineq_mult),
     )
     if not cert.verify():
         raise InternalCheckFailed("solver produced a certificate that fails "
@@ -251,11 +281,12 @@ def _certificate(sys: LinearSystem, farkas, eqs) -> InfeasibilityCertificate:
     return cert
 
 
-def _solve(E, sys: LinearSystem):
-    A, b, eqs = _to_standard(sys)
-    res = solve_standard(A, b, sys.n_vars + len(sys.ineq_rows))
+def _solve(E, sys: LinearSystem, ineqs):
+    """Solve sys with the equality rows and the inequality rows ineqs."""
+    A, b, eqs = _to_standard(sys, ineqs)
+    res = solve_standard(A, b, sys.n_vars + len(ineqs))
     if res.status == "infeasible":
-        return _certificate(sys, res.farkas, eqs)
+        return _certificate(sys, res.farkas, eqs, ineqs)
     state = StateVector(E, tuple(res.x[:sys.n_vars]))
     bad = verify_state(E, state, require_subadditive=bool(sys.ineq_rows))
     if bad:
@@ -265,16 +296,22 @@ def _solve(E, sys: LinearSystem):
 
 def find_state(E: FiniteEffectAlgebra):
     """A StateVector, or an InfeasibilityCertificate when none exists."""
-    return _solve(E, state_system(E, subadditive=False))
+    return _solve(E, state_system(E, subadditive=False), ())
 
 
 def find_subadditive_state(E: FiniteEffectAlgebra):
     """A subadditive StateVector, or a certificate; lattice instances only.
 
-    A found state is verified as subadditive, which includes the pairwise
-    exchange identity w(x) + w(y) = w(x v y) + w(x ^ y).
+    The tableau has the join rows of the incompatible pairs only: the
+    others are implied (see the module docstring), so the LP has the same
+    states.  A found state is verified as subadditive over every pair,
+    which includes the pairwise exchange identity
+    w(x) + w(y) = w(x v y) + w(x ^ y).
     """
-    return _solve(E, state_system(E, subadditive=True))
+    sys = state_system(E, subadditive=True)
+    ineqs = [t for t, (x, y) in enumerate(_middle_pairs(E))
+             if not compatible(E, x, y)]
+    return _solve(E, sys, ineqs)
 
 
 def state_space_dimension(E: FiniteEffectAlgebra) -> int:
@@ -301,14 +338,14 @@ def state_space_dimension(E: FiniteEffectAlgebra) -> int:
         return -1
     support = {j for j in range(n) if res.x[j] != 0}
     homogenized = [row + ((n, -bi),) for row, bi in zip(A, b)]
-    rhs = [ZERO] * len(A) + [ONE]
+    rhs = [0] * len(A) + [1]
     while len(support) < n:
-        outside = tuple((j, ONE) for j in range(n) if j not in support)
+        outside = tuple((j, 1) for j in range(n) if j not in support)
         res = solve_standard(homogenized + [outside], rhs, n + 1)
         if res.status == "infeasible":
             break
         support.update(j for j in range(n) if res.x[j] != 0)
-    rows = A + [((j, ONE),) for j in range(n) if j not in support]
+    rows = A + [((j, 1),) for j in range(n) if j not in support]
     return n - matrix_rank(rows)
 
 
@@ -327,11 +364,11 @@ def fm_feasible(sys: LinearSystem) -> bool:
         rows.append((tuple((j, -c) for j, c in coeffs), -rhs))
     rows.extend(sys.ineq_rows)
     for i in range(n):
-        rows.append((((i, -ONE),), ZERO))  # w_i >= 0
-        rows.append((((i, ONE),), ONE))  # w_i <= 1
+        rows.append((((i, -1),), 0))  # w_i >= 0
+        rows.append((((i, 1),), 1))  # w_i <= 1
     dense = []
     for coeffs, rhs in rows:
-        row = [ZERO] * n
+        row = [0] * n
         for j, c in coeffs:
             row[j] = c
         dense.append((row, rhs))
@@ -351,47 +388,61 @@ def verify_state(E: FiniteEffectAlgebra, omega: StateVector,
 
     Verification never raises: problems come back as report entries.
     Subadditivity and the exchange identity are checked only on request
-    and only over pairs whose join/meet exist.
+    and only over pairs whose join/meet exist.  The values are rationals;
+    the checks compare them scaled to integers by the lcm of their
+    denominators.
     """
     out = []
     n = E.size
     w = omega.values
     if len(w) != n:
         return [StateViolation("shape", (len(w),), "value count differs from size")]
-    if w[E.zero] != 0:
+    # the checks compare v = w * den; a message shows w itself
+    den = lcm(*(u.denominator for u in w))
+    v = [u.numerator * (den // u.denominator) for u in w]
+    if v[E.zero] != 0:
         out.append(StateViolation("zero", (E.zero,), f"w(zero) = {w[E.zero]}"))
-    if w[E.one] != 1:
+    if v[E.one] != den:
         out.append(StateViolation("one", (E.one,), f"w(one) = {w[E.one]}"))
     for x in range(n):
-        if not (0 <= w[x] <= 1):
+        if not (0 <= v[x] <= den):
             out.append(StateViolation("range", (x,), f"w({E.label(x)}) = {w[x]}"))
     for x in range(n):
+        row = E.sum[x]
         for y in range(x, n):
-            s = E.sum[x][y]
-            if s is not None and w[x] + w[y] != w[s]:
+            s = row[y]
+            if s is not None and v[x] + v[y] != v[s]:
                 out.append(StateViolation(
                     "additivity", (x, y, s),
                     f"w({E.label(x)}) + w({E.label(y)}) != w({E.label(s)})"))
     order = derive_order(E)
     for x in range(n):
         for y in bits(order.up[x]):
-            if w[x] > w[y]:
+            if v[x] > v[y]:
                 out.append(StateViolation(
                     "monotone", (x, y), f"w({E.label(x)}) > w({E.label(y)})"))
     if require_subadditive:
         for x in range(n):
+            joins, meets = order.join[x], order.meet[x]
             for y in range(n):
-                j = order.join[x][y]
-                if j is not None and w[j] > w[x] + w[y]:
+                j = joins[y]
+                if j is not None and v[j] > v[x] + v[y]:
                     out.append(StateViolation(
                         "subadditive", (x, y, j),
                         f"w({E.label(j)}) > w({E.label(x)}) + w({E.label(y)})"))
-                m = order.meet[x][y]
-                if j is not None and m is not None and w[x] + w[y] != w[j] + w[m]:
+                m = meets[y]
+                if j is not None and m is not None and v[x] + v[y] != v[j] + v[m]:
                     out.append(StateViolation(
                         "exchange", (x, y),
                         f"w+w != w(join)+w(meet) at ({E.label(x)},{E.label(y)})"))
     return out
+
+
+def lift_failed(E: FiniteEffectAlgebra, c: int,
+                sub: FiniteEffectAlgebra) -> LiftFailed:
+    """The error for a central element c whose interval sub = [0, c] has
+    no subadditive state."""
+    return LiftFailed(sub, f"certificate over [0,{E.label(c)}]")
 
 
 def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
@@ -420,7 +471,7 @@ def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
 
     inner = find_subadditive_state(sub)
     if not isinstance(inner, StateVector):
-        raise LiftFailed(sub, f"certificate over [0,{E.label(c)}]")
+        raise lift_failed(E, c, sub)
 
     values = tuple(inner.values[pos[order.meet[x][c]]] for x in E.elements())
     lifted = StateVector(E, values)

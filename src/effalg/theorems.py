@@ -25,7 +25,8 @@ from .construct import central_decomposition, interval
 from .core import FiniteEffectAlgebra, bits, derive_order, difference, validate
 from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
                      UnknownClaim)
-from .states import StateVector, find_subadditive_state, state_from_central_finite
+from .states import (StateVector, find_subadditive_state, lift_failed,
+                     state_from_central_finite)
 from .structure import (
     blocks,
     center_by_identity,
@@ -302,8 +303,9 @@ def _center_identity(E):
 
 
 # While check_all or sweep runs: [instance, its find_subadditive_state
-# result], so modular.measure and state.exists_unsharp_modular solve the
-# instance's subadditive LP once between them
+# result], so modular.measure, state.from_central_element (at c = 1) and
+# state.exists_unsharp_modular solve the instance's subadditive LP once
+# between them
 _SHARED_LP: ContextVar[list | None] = ContextVar("_SHARED_LP", default=None)
 
 
@@ -352,17 +354,17 @@ def _qualifying_centrals(E):
 
 
 def _state_from_central(E):
-    cs = _qualifying_centrals(E)
-    for c in cs:
+    for c in _qualifying_centrals(E):
         try:
-            state_from_central_finite(E, c)
+            if c != E.one:
+                state_from_central_finite(E, c)
+                central_decomposition(E, c)
+            elif not isinstance(_subadditive_state(E), StateVector):
+                # [0, 1] is E and the lift through 1 is the identity, so
+                # the lifted state is E's own, solved once with the others
+                raise lift_failed(E, c, E)
         except EffectAlgebraError as exc:
             return False, (c, repr(exc))
-        if c != E.one:
-            try:
-                central_decomposition(E, c)
-            except EffectAlgebraError as exc:
-                return False, (c, repr(exc))
     return True, None
 
 

@@ -1,17 +1,22 @@
 """State existence, uniqueness values, certificates, and the constructive routes."""
 
+import functools
 import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import algebra_from_sums
+import effalg.states
+from conftest import algebra_from_sums, make_b2, make_c4, make_e5, make_hex6, make_hs2
 from effalg.algfile import load_algebra
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
+from effalg.core import derive_order
+from effalg.enumeration import EnumerationConfig, enumerate_algebras
 from effalg.errors import HypothesisViolated, NotCentral, StructuralError
-from effalg.linsolve import matrix_rank, row_basis
+from effalg.linsolve import matrix_rank, row_basis, solve_standard
 from effalg.states import (
     InfeasibilityCertificate,
     StateVector,
@@ -25,6 +30,8 @@ from effalg.states import (
     state_via_exstate_procedure,
     verify_state,
 )
+from effalg.structure import compatible
+from oracle_fraction_check import certificate_holds, state_violations
 
 F = Fraction
 HALF = F(1, 2)
@@ -177,6 +184,74 @@ class TestFindSubadditive:
         assert verify_state(E, got, require_subadditive=True) == []
         assert elapsed < 8.0, f"{elapsed:.2f} s"
 
+    def test_120_element_product_within_one_second(self):
+        # a product of chains is an MV-algebra, so none of its 6,903 join
+        # rows reaches the tableau: about 0.2 s, 2.2 s with every join row
+        E = product([boolean_algebra(3), chain(4), chain(2)])
+        t0 = time.perf_counter()
+        got = find_subadditive_state(E)
+        elapsed = time.perf_counter() - t0
+        assert isinstance(got, StateVector)
+        assert verify_state(E, got, require_subadditive=True) == []
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+@functools.cache
+def lattices():
+    """Every lattice class of sizes 2-8, then three constructed lattices."""
+    out = [E for n in range(2, 9)
+           for E in enumerate_algebras(EnumerationConfig(size=n))
+           if derive_order(E).is_lattice]
+    return out + [boolean_algebra(4), product([boolean_algebra(2), chain(3)]),
+                  horizontal_sum([chain(2), chain(2), chain(2)])]
+
+
+def middle_pairs(E):
+    """The pairs of state_system's join rows, in row order."""
+    middles = [x for x in range(E.size) if x not in (E.zero, E.one)]
+    return [(x, y) for i, x in enumerate(middles) for y in middles[i + 1:]]
+
+
+class TestImpliedJoinRows:
+    """The subadditive tableau drops the join rows of compatible pairs."""
+
+    def test_reduced_lp_decides_as_the_full_system(self):
+        # Fourier-Motzkin on the full system is fast up to size 6 (a size-7
+        # class takes seconds), the full-system simplex decides the rest
+        dropped_in_certificates = 0
+        for E in lattices():
+            sys = state_system(E, subadditive=True)
+            if E.size <= 6:
+                feasible = fm_feasible(sys)
+            else:
+                A, b, _ = _to_standard(sys)
+                res = solve_standard(A, b, E.size + len(sys.ineq_rows))
+                feasible = res.status == "feasible"
+            got = find_subadditive_state(E)
+            assert isinstance(got, StateVector) == feasible
+            if isinstance(got, InfeasibilityCertificate):
+                assert got.system == sys and got.verify()
+                for t, (x, y) in enumerate(middle_pairs(E)):
+                    if compatible(E, x, y):
+                        assert got.ineq_mult[t] == 0
+                        dropped_in_certificates += 1
+        assert dropped_in_certificates
+
+    def test_mv_algebra_tableau_is_find_states(self, monkeypatch):
+        # every pair of an MV-algebra is compatible
+        E = product([chain(3), chain(4)])
+        assert state_system(E, subadditive=True).ineq_rows
+        tableaus = []
+
+        def captured(A, b, n):
+            tableaus.append((A, b, n))
+            return solve_standard(A, b, n)
+
+        monkeypatch.setattr(effalg.states, "solve_standard", captured)
+        find_state(E)
+        find_subadditive_state(E)
+        assert len(tableaus) == 2 and tableaus[0] == tableaus[1]
+
 
 class TestDimension:
     def test_values(self, b2, c3, e5, hs2):
@@ -260,6 +335,73 @@ class TestVerifyState:
         w = StateVector(b2, (F(2), F(-1), F(5), F(0)))
         report = verify_state(b2, w, require_subadditive=True)
         assert report  # plenty wrong, reported not raised
+
+
+@functools.cache
+def solver_states():
+    """(algebra, state, subadditive) from the solver on small instances."""
+    out = []
+    for E in (make_b2(), make_c4(), make_e5(), make_hex6(), make_hs2(),
+              boolean_algebra(3), product([boolean_algebra(1), chain(3)])):
+        out.append((E, find_state(E), False))
+        if derive_order(E).is_lattice:
+            out.append((E, find_subadditive_state(E), True))
+    return out
+
+
+@functools.cache
+def solver_certificates():
+    """Certificates from the solver: find_state on two stateless tables and
+    find_subadditive_state on the first five lattices without such a state."""
+    stateless9 = load_algebra(STATELESS9)
+    out = [find_state(stateless9),
+           find_state(horizontal_sum([stateless9, chain(3)]))]
+    for E in lattices():
+        if len(out) == 7:
+            break
+        got = find_subadditive_state(E)
+        if isinstance(got, InfeasibilityCertificate):
+            out.append(got)
+    return out
+
+
+shifts = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+class TestFractionOracle:
+    """verify_state and InfeasibilityCertificate.verify check in integers;
+    a textbook Fraction re-check must reach the same verdicts."""
+
+    def test_solver_results_pass_the_oracle(self):
+        for E, got, subadditive in solver_states():
+            assert state_violations(E, got.values, subadditive) == []
+        for cert in solver_certificates():
+            assert certificate_holds(cert.system, cert.eq_mult,
+                                     cert.bound_mult, cert.ineq_mult)
+
+    @given(st.data(), shifts)
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_state(self, data, delta):
+        E, got, subadditive = data.draw(st.sampled_from(solver_states()))
+        x = data.draw(st.integers(0, E.size - 1))
+        values = list(got.values)
+        values[x] += delta
+        report = verify_state(E, StateVector(E, tuple(values)), subadditive)
+        assert ([(v.kind, v.witness, v.message) for v in report]
+                == state_violations(E, values, subadditive))
+
+    @given(st.data(), shifts)
+    @settings(max_examples=300, deadline=None)
+    def test_changed_multiplier(self, data, value):
+        cert = data.draw(st.sampled_from(solver_certificates()))
+        field = data.draw(st.sampled_from(["eq_mult", "bound_mult", "ineq_mult"]))
+        mults = list(getattr(cert, field))
+        if not mults:
+            return
+        mults[data.draw(st.integers(0, len(mults) - 1))] = value
+        changed = replace(cert, **{field: tuple(mults)})
+        assert changed.verify() == certificate_holds(
+            changed.system, changed.eq_mult, changed.bound_mult, changed.ineq_mult)
 
 
 class TestCentralLift:

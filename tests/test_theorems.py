@@ -4,7 +4,7 @@ import pytest
 
 from conftest import algebra_from_sums, make_c4
 from effalg.enumeration import EnumerationConfig
-from effalg.errors import InternalCheckFailed, UnknownClaim
+from effalg.errors import EffectAlgebraError, InternalCheckFailed, UnknownClaim
 from effalg.states import find_subadditive_state
 from effalg.theorems import (
     CLAIM_IDS,
@@ -88,6 +88,47 @@ class TestCheckAll:
         assert 0 < exists.hypotheses_met < measure.hypotheses_met
         assert len(solved) == measure.hypotheses_met
         assert len({id(E) for E in solved}) == len(solved)
+
+    def test_top_central_element_reuses_the_instance_lp(self, monkeypatch, e5):
+        import effalg.states as st
+        import effalg.theorems as th
+
+        solved = []
+
+        def counted(E):
+            solved.append(E.size)
+            return find_subadditive_state(E)
+
+        monkeypatch.setattr(th, "find_subadditive_state", counted)
+        monkeypatch.setattr(st, "find_subadditive_state", counted)
+        # E5's only qualifying central element is its top: the lift through
+        # it is E5's own subadditive state, which the other claims solved
+        report = {r.claim_id: r for r in check_all(e5)}["state.from_central_element"]
+        assert report.hypotheses_met and report.conclusion_holds
+        assert solved == [5]
+        solved.clear()
+        ids = ["modular.measure", "state.from_central_element"]
+        measure, central = sweep(EnumerationConfig(size=6), ids)
+        assert central.hypotheses_met
+        # one solve per lattice instance; a smaller central interval has
+        # its own
+        assert solved.count(6) == measure.hypotheses_met
+
+    def test_top_central_element_fails_as_the_lift_does(self, monkeypatch):
+        import effalg.states as st
+        import effalg.theorems as th
+        from effalg.construct import chain
+
+        # with no subadditive state found, c = 1 (chain(3)'s only nonzero
+        # central element) reports the error the lift through it raises
+        monkeypatch.setattr(th, "find_subadditive_state", lambda E: None)
+        monkeypatch.setattr(st, "find_subadditive_state", lambda E: None)
+        E = chain(3)
+        with pytest.raises(EffectAlgebraError) as lift:
+            st.state_from_central_finite(E, E.one)
+        report = check(E, "state.from_central_element")
+        assert report.hypotheses_met and not report.conclusion_holds
+        assert report.witness == (E.one, repr(lift.value))
 
     def test_conclusion_none_iff_hypotheses_unmet(self, corpus):
         for E in corpus:

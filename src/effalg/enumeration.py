@@ -23,7 +23,12 @@ with a property is the least one that has it.
 
 The canonical key exported here uses the same frame-preserving minimum, so
 two algebras have equal keys iff they are isomorphic.  One routine,
-_min_key_search, computes the key and answers both canonicity tests.
+_min_key_search, computes the key and answers both canonicity tests.  The
+minimum does not depend on the frame layout the search starts from, so
+canonical_key lays the frame out by a cheap invariant, the number of
+undefined sums in each row (McKay & Piperno 2014).  The identity's key,
+the search's first bound, then tends to lie close to the least one
+whatever the input's labels, and fewer relabelings get past it.
 
 That routine skips interchangeable elements, a cheap case of pruning by
 known automorphisms (McKay 1998), on complete tables and on the partial
@@ -34,13 +39,16 @@ while an earlier twin is unplaced, since its subtree is a relabeled copy of
 the twin's with the same keys.  A table whose m middles are self-paired and
 interchangeable then costs m relabelings instead of m!, and so does an
 early inner node of a frame with many self-paired middles, where few cells
-are decided and most middles are still interchangeable.
+are decided and most middles are still interchangeable.  A swap is tested
+on one row per transposition: it is an involution, so if it maps row a
+onto row b, it maps row b onto row a.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -100,7 +108,8 @@ class EnumerationConfig:
             raise ValueError("time budget must be positive")
 
 
-def _involution(n: int, f: int) -> list[int]:
+@functools.cache
+def _involution(n: int, f: int) -> tuple[int, ...]:
     """Full orthosupplement layout: f self-paired middles, then pairs."""
     m = n - 2
     orth = [0] * n
@@ -111,7 +120,7 @@ def _involution(n: int, f: int) -> list[int]:
     for p in range(f + 1, m + 1, 2):
         orth[p] = p + 1
         orth[p + 1] = p
-    return orth
+    return tuple(orth)
 
 
 class _Search:
@@ -269,16 +278,17 @@ def _twins(T, n, f):
         # whether these disjoint transpositions, applied together, fix T
         for a, b in transpositions:
             sigma[a], sigma[b] = b, a
-        moved = [a for t in transpositions for a in t]
         # a cell can break the swap only if it lies in the row (or column:
         # T is symmetric) of a moved element or holds one.  The rows suffice,
         # as the moved elements are closed under ': if x + y = a with x and y
         # fixed, the row of a' holds y + a' = x', which the swap keeps only
-        # if x + y = sigma(a) too.
-        ok = all(T[sigma[a] * n + sigma[y]] == sigma[T[a * n + y]]
-                 for a in moved for y in middles)
-        for a in moved:
-            sigma[a] = a
+        # if x + y = sigma(a) too.  One row per transposition (a b) suffices:
+        # sigma is an involution, so if it maps row a onto row b, applying it
+        # to both sides maps row b onto row a.
+        ok = all(T[b * n + sigma[y]] == sigma[T[a * n + y]]
+                 for a, b in transpositions for y in middles)
+        for a, b in transpositions:
+            sigma[a], sigma[b] = a, b
         return ok
 
     twins = [[] for _ in range(n)]
@@ -431,30 +441,29 @@ def canonical_key(E: FiniteEffectAlgebra):
     canonical frame (self-paired middles first, pairs adjacent), then takes
     the least flattened middle-block table over frame-preserving
     relabelings.  Keys are equal iff the algebras are isomorphic.
+
+    The key is a minimum over every frame-preserving relabeling, so it does
+    not depend on the layout the search starts from.  That layout follows
+    an invariant, not the input's labels: the self-paired middles by their
+    number of undefined sums, then the pairs, each with its member with
+    fewer undefined sums first, by those two numbers; ties keep label
+    order.  Relabeled copies thus start near their least key.
     """
     n = E.size
-    orth = E.orth
-    rho = [0] * n
-    rho[E.zero] = 0
-    rho[E.one] = n - 1
+    orth, S = E.orth, E.sum
+    undef = [row.count(None) for row in S]
     middles = [x for x in E.elements() if x not in (E.zero, E.one)]
-    fixed = [x for x in middles if orth[x] == x]
-    pairs = sorted((x, orth[x]) for x in middles if x < orth[x] and orth[x] != x)
-    nxt = 1
-    for x in fixed:
-        rho[x] = nxt
-        nxt += 1
-    f = len(fixed)
-    for x, y in pairs:
-        rho[x] = nxt
-        rho[y] = nxt + 1
-        nxt += 2
-    T = [UNDEF] * (n * n)
-    for x in range(n):
-        for y in range(n):
-            v = E.sum[x][y]
-            T[rho[x] * n + rho[y]] = UNDEF if v is None else rho[v]
-    return (n, f, _min_key_search(T, n, f))
+    fixed = sorted((x for x in middles if orth[x] == x), key=undef.__getitem__)
+    pairs = sorted(((x, orth[x]) if undef[x] <= undef[orth[x]] else (orth[x], x)
+                    for x in middles if x < orth[x]),
+                   key=lambda p: (undef[p[0]], undef[p[1]]))
+    layout = [E.zero, *fixed, *(x for p in pairs for x in p), E.one]
+    rho = [0] * n
+    for i, x in enumerate(layout):
+        rho[x] = i
+    permuted = operator.itemgetter(*layout)
+    T = [UNDEF if v is None else rho[v] for x in layout for v in permuted(S[x])]
+    return (n, len(fixed), _min_key_search(T, n, len(fixed)))
 
 
 def _frame(E: FiniteEffectAlgebra):

@@ -470,6 +470,11 @@ def sharp_hat_formula(E: FiniteEffectAlgebra, x: int) -> int:
     mod = is_modular(E)  # raises NotLattice on non-lattices
     if not mod:
         raise HypothesisViolated("modularity", f"witness triple {mod.witness}")
+    return _saturated_hat(E, x)
+
+
+def _saturated_hat(E: FiniteEffectAlgebra, x: int) -> int:
+    """sharp_hat_formula on an instance already known to be modular."""
     acc = E.zero
     for a, _k in atom_decomposition(E, x):
         na = element_order(E, a)

@@ -14,6 +14,7 @@ accounting honest.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
 from .states import (StateVector, find_subadditive_state, lift_failed,
                      state_from_central_finite)
 from .structure import (
+    _saturated_hat,
     blocks,
     center_by_identity,
     compatibility_center,
@@ -40,7 +42,6 @@ from .structure import (
     is_lattice_ideal,
     is_modular,
     sharp_elements,
-    sharp_hat_formula,
     sharp_mask,
     smallest_sharp_over,
 )
@@ -77,6 +78,70 @@ def _compact_set(E):
     return [u for u in E.elements() if is_compact(E, u)]
 
 
+# -- what the claims share about one instance --------------------------------
+
+# While check_all or sweep runs: [instance, {(function, args): result}] for
+# the functions below marked _once_per_instance, so that the claims compute
+# each of these once per instance between them:
+# - its subadditive LP, solved for modular.measure,
+#   state.from_central_element (at c = 1) and state.exists_unsharp_modular;
+# - each interval [0, z], built and validated by construct.interval;
+# - its qualifying central elements, read by both the hypothesis and the
+#   conclusion of state.from_central_element.
+# A new instance replaces the old one's results, and nothing outlives the
+# check_all or sweep call.
+_PER_INSTANCE: ContextVar[list | None] = ContextVar("_PER_INSTANCE", default=None)
+
+
+@contextmanager
+def _per_instance():
+    token = _PER_INSTANCE.set([None, {}])
+    try:
+        yield
+    finally:
+        _PER_INSTANCE.reset(token)
+
+
+def _once_per_instance(fn):
+    @functools.wraps(fn)
+    def shared(E, *args):
+        slot = _PER_INSTANCE.get()
+        if slot is None:
+            return fn(E, *args)
+        if slot[0] is not E:
+            slot[:] = E, {}
+        results, key = slot[1], (fn, *args)
+        if key not in results:
+            results[key] = fn(E, *args)
+        return results[key]
+    return shared
+
+
+@_once_per_instance
+def _subadditive_state(E):
+    return find_subadditive_state(E)
+
+
+@_once_per_instance
+def _lower_interval(E, z):
+    """[0, z] as an algebra."""
+    return interval(E, E.zero, z)
+
+
+@_once_per_instance
+def _qualifying_centrals(E):
+    """The nonzero central elements c with [0, c] a modular lattice."""
+    F = finite_elements(E)
+    out = []
+    for c in center_by_identity(E):
+        if c == E.zero or c not in F:
+            continue
+        sub = _lower_interval(E, c)
+        if derive_order(sub).is_lattice and is_modular(sub):
+            out.append(c)
+    return tuple(out)
+
+
 # -- conclusion checks -----------------------------------------------------
 
 
@@ -106,8 +171,7 @@ def _finite_interval_complete(E):
     for x in F:
         if x == E.zero:
             continue
-        sub = interval(E, E.zero, x)
-        if not derive_order(sub).is_lattice:
+        if not derive_order(_lower_interval(E, x)).is_lattice:
             return False, (x,)
     return True, None
 
@@ -128,10 +192,12 @@ def _finite_ideal(E):
 
 
 def _sharp_hat(E):
+    # the claim's hypotheses have just checked that E is a modular lattice,
+    # which is all that sharp_hat_formula checks before its formula
     F = finite_elements(E)
     for x in F:
         try:
-            hat = sharp_hat_formula(E, x)
+            hat = _saturated_hat(E, x)
             scan = smallest_sharp_over(E, x)
             greatest_sharp_under(E, x)
         except EffectAlgebraError as exc:
@@ -219,7 +285,7 @@ def _atomic_below_joins(E, mask):
             j = order.join[j][d]
         if j != z or z == E.zero:
             continue  # hypothesis of the claim fails at this z
-        if not is_atomic(interval(E, E.zero, z)):
+        if not is_atomic(_lower_interval(E, z)):
             return False, (z,)
     return True, None
 
@@ -302,31 +368,6 @@ def _center_identity(E):
     return True, None
 
 
-# While check_all or sweep runs: [instance, its find_subadditive_state
-# result], so modular.measure, state.from_central_element (at c = 1) and
-# state.exists_unsharp_modular solve the instance's subadditive LP once
-# between them
-_SHARED_LP: ContextVar[list | None] = ContextVar("_SHARED_LP", default=None)
-
-
-@contextmanager
-def _one_lp_per_instance():
-    token = _SHARED_LP.set([None, None])
-    try:
-        yield
-    finally:
-        _SHARED_LP.reset(token)
-
-
-def _subadditive_state(E):
-    shared = _SHARED_LP.get()
-    if shared is None:
-        return find_subadditive_state(E)
-    if shared[0] is not E:
-        shared[:] = E, find_subadditive_state(E)
-    return shared[1]
-
-
 def _modular_measure(E):
     got = _subadditive_state(E)
     if not isinstance(got, StateVector):
@@ -338,19 +379,6 @@ def _modular_measure(E):
             if w[x] + w[y] != w[order.join[x][y]] + w[order.meet[x][y]]:
                 return False, (x, y)
     return True, None
-
-
-def _qualifying_centrals(E):
-    order = derive_order(E)
-    F = finite_elements(E)
-    out = []
-    for c in center_by_identity(E):
-        if c == E.zero or c not in F:
-            continue
-        sub = interval(E, E.zero, c)
-        if derive_order(sub).is_lattice and is_modular(sub):
-            out.append(c)
-    return out
 
 
 def _state_from_central(E):
@@ -561,14 +589,15 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
 def check_all(E: FiniteEffectAlgebra) -> list[ClaimReport]:
     """Every registered claim, in stable registry order.
 
-    The claims that need the instance's subadditive LP share one solve.
+    The claims share one solve of the instance's subadditive LP and one
+    build of each interval [0, z] (see _PER_INSTANCE).
     """
     bad = validate(E)
     if bad:
         return [ClaimReport(cid, _REGISTRY[cid].statement, False, (), None,
                             None, error=f"invalid table: {bad[0]}")
                 for cid in CLAIM_IDS]
-    with _one_lp_per_instance():
+    with _per_instance():
         return [check(E, cid) for cid in CLAIM_IDS]
 
 
@@ -588,8 +617,8 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     first counterexample, and the pass ends once every claim has failed.
     The config's time budget bounds the claim checks too: the deadline is
     read after each instance, and BudgetExceeded (with no checkpoint) ends
-    a sweep that has passed it.  The claims that need an instance's
-    subadditive LP share one solve.
+    a sweep that has passed it.  The claims share one solve of each
+    instance's subadditive LP and one build of each interval [0, z].
     """
     from .enumeration import enumerate_algebras
 
@@ -602,7 +631,7 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     met = dict.fromkeys(claim_ids, 0)
     failures = {}
     live = list(checked)
-    with _one_lp_per_instance():
+    with _per_instance():
         for E in enumerate_algebras(config):
             for cid in live:
                 checked[cid] += 1

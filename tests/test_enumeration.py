@@ -11,11 +11,14 @@ from effalg import enumeration
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.core import FiniteEffectAlgebra, derive_order, validate
 from effalg.enumeration import (
+    UNDEF,
+    UNKNOWN,
     EnumerationConfig,
     _Budget,
     _chunk_worker,
     _chunks,
     _f_values,
+    _min_key_search,
     _run_chunk,
     _Search,
     _twins,
@@ -30,6 +33,7 @@ from oracle_frame_min import frame_min_key
 from oracle_labelled import (automorphism_count, frame_of, frames,
                              labelled_count, orbit_sums)
 from oracle_naive import naive_classes
+from oracle_twins import twin_lists
 
 # class counts per size, frozen after the first computation and cross-checked
 # against the naive oracle for sizes up to 5
@@ -196,6 +200,44 @@ class TestCanonicalKey:
         assert is_isomorphic(interval(prod, 0, prod.size - 1), prod)
 
 
+def frame_layout(n, f, rng):
+    """A random frame-preserving relabeling, position -> element: zero and
+    one stay, the self-paired middles move among 1..f and the pairs among
+    the positions after them, each pair adjacent in either order."""
+    fixed = list(range(1, f + 1))
+    pairs = [[p, p + 1] for p in range(f + 1, n - 1, 2)]
+    rng.shuffle(fixed)
+    rng.shuffle(pairs)
+    for pair in pairs:
+        rng.shuffle(pair)
+    return [0, *fixed, *(x for pair in pairs for x in pair), n - 1]
+
+
+class TestMinKeyLayout:
+    def test_every_frame_layout_gives_the_same_key(self):
+        # canonical_key lays the frame out by an invariant; the key must
+        # not depend on which frame-preserving layout it starts from
+        rng = random.Random(15)
+        for n in range(2, 9):
+            for E in enumerate_size(n):
+                f = sum(x == y for x, y in enumerate(E.orth))
+                T = [UNDEF if v is None else v for row in E.sum for v in row]
+                key = _min_key_search(T, n, f)
+                assert (n, f, key) == canonical_key(E)
+                for _ in range(5):
+                    layout = frame_layout(n, f, rng)
+                    rho = [0] * n
+                    for i, x in enumerate(layout):
+                        rho[x] = i
+                    R = [UNDEF if v == UNDEF else rho[v]
+                         for x in layout for v in (T[x * n + y] for y in layout)]
+                    orth = [R[x * n:x * n + n].index(n - 1) for x in range(n)]
+                    assert R[:n] == list(range(n))
+                    assert all(orth[x] == x for x in range(1, f + 1))
+                    assert all(orth[p] == p + 1 for p in range(f + 1, n - 1, 2))
+                    assert _min_key_search(R, n, f) == key, (n, E.sum, layout)
+
+
 class TestTwinSkip:
     def test_open_cells_leave_middles_twins(self):
         # with no sum of two middles decided, any two self-paired middles
@@ -203,6 +245,24 @@ class TestTwinSkip:
         n = 6
         twins = _twins(_Search(n, n - 2).T, n, n - 2)
         assert twins[1:n - 1] == [list(range(1, b)) for b in range(1, n - 1)]
+
+    def test_twins_match_a_full_table_oracle(self, monkeypatch):
+        # keys alone cannot catch a wrong twin list, so each list is
+        # compared with the oracle's on every table, complete or partial,
+        # that the search meets while enumerating sizes 2..8
+        tables = []
+
+        def recorded(T, n, f, stop_below=False):
+            tables.append((T[:], n, f))
+            return _min_key_search(T, n, f, stop_below)
+
+        monkeypatch.setattr(enumeration, "_min_key_search", recorded)
+        for n in range(2, 9):
+            enumerate_size(n)
+        partial = sum(UNKNOWN in T for T, _, _ in tables)
+        assert 0 < partial < len(tables)
+        for T, n, f in tables:
+            assert [sorted(t) for t in _twins(T, n, f)] == twin_lists(T, n, f)
 
     def test_nearly_self_paired_frames_within_half_a_second(self):
         # the inner-node tests of these frames face up to 10! relabelings

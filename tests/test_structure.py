@@ -5,7 +5,9 @@ import pytest
 from conftest import algebra_from_sums
 from effalg.construct import boolean_algebra
 from effalg.core import derive_order, orthosupplement
-from effalg.errors import MeetUndefined, NotInSection
+from effalg.enumeration import EnumerationConfig, enumerate_algebras
+from effalg.errors import (HypothesisViolated, MeetUndefined, NotInSection,
+                           NotLattice)
 from effalg.structure import (
     ElementSubset,
     atom_decomposition,
@@ -203,6 +205,16 @@ class TestHatFormula:
                 continue
             for x in E.elements():
                 assert sharp_hat_formula(E, x) == smallest_sharp_over(E, x)
+
+    def test_formula_checks_modularity(self):
+        lattices = enumerate_algebras(EnumerationConfig(size=5, lattice_only=True))
+        non_modular = next(E for E in lattices if not is_modular(E))
+        with pytest.raises(HypothesisViolated):
+            sharp_hat_formula(non_modular, 1)
+        non_lattice = next(E for E in enumerate_algebras(EnumerationConfig(size=6))
+                           if not derive_order(E).is_lattice)
+        with pytest.raises(NotLattice):
+            sharp_hat_formula(non_lattice, 1)
 
 
 class TestSectionInvolution:

@@ -1,14 +1,20 @@
 """The claim registry: per-instance checks and enumeration sweeps."""
 
+import sys
+
 import pytest
 
 from conftest import algebra_from_sums, make_c4
+from effalg import structure
+from effalg import theorems as th
+from effalg.construct import chain, horizontal_sum, product
 from effalg.enumeration import EnumerationConfig
 from effalg.errors import EffectAlgebraError, InternalCheckFailed, UnknownClaim
 from effalg.states import find_subadditive_state
 from effalg.theorems import (
     CLAIM_IDS,
     SCALE_LIMITED,
+    ClaimReport,
     check,
     check_all,
     join_difference_family_holds,
@@ -129,6 +135,48 @@ class TestCheckAll:
         report = check(E, "state.from_central_element")
         assert report.hypotheses_met and not report.conclusion_holds
         assert report.witness == (E.one, repr(lift.value))
+
+    def test_sharp_hat_checks_modularity_once(self):
+        E = product([horizontal_sum([chain(2)] * 3), chain(7)])
+        calls = []
+
+        def profile(frame, event, arg):
+            # every call of is_modular, by whatever name the caller holds it
+            if event == "call" and frame.f_code is structure.is_modular.__code__:
+                calls.append(frame.f_locals["E"].size)
+
+        sys.setprofile(profile)
+        try:
+            report = check(E, "sharp.hat_formula")
+        finally:
+            sys.setprofile(None)
+        # the claim's modular hypothesis is the one check
+        assert calls == [40]
+        hypotheses = (("lattice", True), ("modular", True),
+                      ("archimedean", True), ("atomic", True))
+        assert report == ClaimReport("sharp.hat_formula",
+                                     statement("sharp.hat_formula"), True,
+                                     hypotheses, True, None)
+
+    def test_each_interval_is_built_once_per_instance(self, monkeypatch):
+        E = product([horizontal_sum([chain(2)] * 3), chain(3)])
+        built = []
+
+        def counted(E, a, b):
+            built.append(b)
+            return interval(E, a, b)
+
+        interval = th.interval
+        monkeypatch.setattr(th, "interval", counted)
+        # checked one by one, the claims ask for some intervals [0, z]
+        # several times; check_all builds each of them once
+        alone = [check(E, cid) for cid in CLAIM_IDS]
+        asked = sorted(built)
+        assert len(asked) > len(set(asked))
+        built.clear()
+        assert check_all(E) == alone
+        assert sorted(built) == sorted(set(asked))
+        assert th._PER_INSTANCE.get() is None
 
     def test_conclusion_none_iff_hypotheses_unmet(self, corpus):
         for E in corpus:

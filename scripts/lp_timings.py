@@ -3,9 +3,10 @@
 
 Runs find_state, state_space_dimension and find_subadditive_state once
 each on boolean(5), on the 40-, 60- and 120-element products, and on
-hs120, the 120-element instance of the paper's hypothesis class, and
-prints the wall time of each call with a digest of its result, so two
-trees can be compared call by call:
+hs120, hs200 and hs400, instances of the paper's hypothesis class with
+120, 200 and 400 elements.  It prints the wall time of each call, its
+verdict (state, certificate or the dimension) and a digest of the
+result, so two trees can be compared call by call:
 
     python3 scripts/lp_timings.py
     python3 scripts/lp_timings.py --algebra boolean5 --algebra p40
@@ -27,13 +28,15 @@ from effalg.states import (
     state_space_dimension,
 )
 
+HS = "horizontal_sum(chain(2), chain(2), chain(2))"
 ALGEBRAS = {
     "boolean5": "boolean(5)",
     "p40": "product(boolean(3), chain(4))",
     "p60": "product(boolean(2), chain(2), chain(4))",
     "p120": "product(boolean(3), chain(4), chain(2))",
-    "hs120": ("product(horizontal_sum(chain(2), chain(2), chain(2)), "
-              "chain(3), chain(5))"),
+    "hs120": f"product({HS}, chain(3), chain(5))",
+    "hs200": f"product({HS}, chain(3), chain(9))",
+    "hs400": f"product({HS}, boolean(2), chain(3), chain(4))",
 }
 CALLS = {
     "find_state": find_state,
@@ -42,18 +45,24 @@ CALLS = {
 }
 
 
-def digest(result) -> str:
-    """A short fingerprint of a call's result: the dimension, or a hash of
-    the state's values or of the certificate's multipliers."""
+def verdict(result) -> str:
+    """The dimension, or whether the call found a state."""
     if isinstance(result, int):
         return f"dim {result}"
+    return "state" if isinstance(result, StateVector) else "certificate"
+
+
+def digest(result) -> str:
+    """A short fingerprint of a call's result: a hash of the state's values
+    or of the certificate's multipliers; "-" for a dimension."""
+    if isinstance(result, int):
+        return "-"
     if isinstance(result, StateVector):
-        kind, values = "state", result.values
+        values = result.values
     else:
-        kind = "certificate"
         values = result.eq_mult + result.bound_mult + result.ineq_mult
     text = ",".join(f"{v.numerator}/{v.denominator}" for v in values)
-    return f"{kind} {hashlib.sha256(text.encode()).hexdigest()[:12]}"
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def main() -> int:
@@ -63,15 +72,16 @@ def main() -> int:
                         help="algebra to time (repeatable; default: all)")
     args = parser.parse_args()
 
-    print(f"{'algebra':<9} {'size':>5} {'call':<23} {'secs':>8}  result")
+    print(f"{'algebra':<9} {'size':>5} {'call':<23} {'secs':>8}  "
+          f"{'verdict':<12} digest")
     for name in args.algebra or list(ALGEBRAS):
         E = build(parse_construction(ALGEBRAS[name]))
         for call, fn in CALLS.items():
             t0 = time.perf_counter()
             result = fn(E)
             secs = time.perf_counter() - t0
-            print(f"{name:<9} {E.size:>5} {call:<23} {secs:>8.2f}  {digest(result)}",
-                  flush=True)
+            print(f"{name:<9} {E.size:>5} {call:<23} {secs:>8.2f}  "
+                  f"{verdict(result):<12} {digest(result)}", flush=True)
     return 0
 
 

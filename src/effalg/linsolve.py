@@ -28,8 +28,11 @@ compares by integer cross-multiplication, so every comparison is exact and
 Bland's rule takes the pivots of the textbook Fraction tableau.  The vertex
 and the Farkas multipliers become Fractions only at the end.
 
-row_basis picks a maximal independent set of rows, first in row order, by
-sparse integer elimination; matrix_rank is its size.
+row_reduce is Gauss-Jordan elimination on the same sparse integer rows.
+It keeps the first maximal independent set of rows in row order
+(row_basis; matrix_rank is its size), brings them to reduced row echelon
+form, and logs each step, so a combination of reduced rows maps back to
+multipliers over the input rows.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ __all__ = [
     "fourier_motzkin_feasible",
     "matrix_rank",
     "row_basis",
+    "row_reduce",
+    "Reduction",
     "FM_VARIABLE_CAP",
 ]
 
@@ -282,33 +287,97 @@ def fourier_motzkin_feasible(rows, n_vars) -> bool:
     return all(r >= 0 for _, r in system)
 
 
+class Reduction:
+    """The reduced row echelon form of a sparse rational matrix, and how
+    each of its rows was combined from the input rows.
+
+    kept lists the input rows that are independent of the rows before
+    them, in row order; pivots[i] is the pivot column of reduced row i,
+    and rows[i] / dens[i] is that row as a sparse integer row over one
+    denominator, with value 1 (numerator dens[i]) in its own pivot column
+    and 0 in every other row's.  combination() maps a combination of
+    reduced rows back to multipliers over the input rows.
+    """
+
+    def __init__(self, kept, pivots, rows, dens, log):
+        self.kept = kept
+        self.pivots = pivots
+        self.rows = rows
+        self.dens = dens
+        self._log = log
+
+    def combination(self, coeffs):
+        """Multipliers over the input rows, as {input row: Fraction}, whose
+        combination equals sum of coeffs[i] times reduced row i.
+
+        The log holds, in the order they were made, the steps that built
+        each reduced row: start from input row k, subtract f / d times
+        reduced row j, divide by f / d.  Replaying it backwards moves each
+        reduced row's coefficient onto the rows it came from.
+        """
+        nu = {i: Fraction(c) for i, c in coeffs.items() if c}
+        lam = {}
+        for step, i, j, f, d in reversed(self._log):
+            c = nu.get(i)
+            if not c:
+                continue
+            if step == "sub":
+                nu[j] = nu.get(j, ZERO) - c * Fraction(f, d)
+            elif step == "div":
+                nu[i] = c * Fraction(d, f)
+            else:  # "start": row i began as input row j
+                lam[j] = lam.get(j, ZERO) + nu.pop(i)
+        return {k: v for k, v in lam.items() if v}
+
+
+def row_reduce(rows) -> Reduction:
+    """Gauss-Jordan elimination of rational rows, each a tuple of
+    (column, value) pairs, as sparse integer rows.
+
+    Rows are taken in order.  A row is reduced by every kept row whose
+    pivot column it has; the kept rows are reduced among themselves, so
+    each is zero in the others' pivot columns and no step brings back a
+    column another one cleared.  A row left nonzero is kept, with its
+    least column as pivot, and that column is cleared from the rows kept
+    before it.  A step is the simplex's elimination, with the pivot row
+    scaled to 1 in its pivot column.  Only the steps of kept rows are
+    logged; a dependent row never enters a combination.
+    """
+    kept, pivots, red, dens, log = [], [], [], [], []
+    where = {}  # pivot column -> reduced row
+    for k, pairs in enumerate(rows):
+        r, den = _sparse(pairs)
+        i = len(red)
+        steps = [("start", i, k, 0, 0)]
+        for col in [c for c in r if c in where]:
+            j = where[col]
+            steps.append(("sub", i, j, r[col], den))
+            den = _eliminate(r, den, red[j], dens[j], col)
+        if not r:
+            continue
+        col = min(r)
+        steps.append(("div", i, 0, r[col], den))
+        if r[col] < 0:
+            for c in r:
+                r[c] = -r[c]
+        den = _reduce(r, r[col])
+        for j, row in enumerate(red):
+            if col in row:
+                steps.append(("sub", j, i, row[col], dens[j]))
+                dens[j] = _eliminate(row, dens[j], r, den, col)
+        log.extend(steps)
+        where[col] = i
+        kept.append(k)
+        pivots.append(col)
+        red.append(r)
+        dens.append(den)
+    return Reduction(kept, pivots, red, dens, log)
+
+
 def row_basis(rows) -> list[int]:
     """Indices of the first maximal independent set of rational rows, each
-    a tuple of (column, value) pairs.
-
-    A row is kept when it is independent of the rows kept before it.  Each
-    row, as a sparse integer row, is reduced by the kept rows in the order
-    they were kept, and only by those whose pivot column it has: a kept row
-    is zero in the pivot column of every row kept before it, so a later
-    step never brings back a column an earlier one cleared.  A step is the
-    simplex's elimination, with the kept row scaled to 1 in its pivot
-    column.
-    """
-    kept = []  # (pivot column, row, denominator) with value 1 in the pivot column
-    out = []
-    for idx, pairs in enumerate(rows):
-        r, den = _sparse(pairs)
-        for col, krow, kden in kept:
-            if col in r:
-                den = _eliminate(r, den, krow, kden, col)
-        if r:
-            col = min(r)
-            if r[col] < 0:
-                for j in r:
-                    r[j] = -r[j]
-            kept.append((col, r, _reduce(r, r[col])))
-            out.append(idx)
-    return out
+    a tuple of (column, value) pairs: the rows row_reduce keeps."""
+    return row_reduce(rows).kept
 
 
 def matrix_rank(rows) -> int:

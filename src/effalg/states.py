@@ -1,23 +1,36 @@
 """States on finite effect algebras by exact rational feasibility.
 
 A state assigns 0 to zero, 1 to one, and adds across every defined sum.
-Existence is decided by the exact simplex in linsolve (no floating point
+Existence is decided by exact arithmetic in linsolve (no floating point
 anywhere near the verdict); infeasibility comes back as a certificate that
 re-verifies by independent arithmetic.  The constructive routes lift a
 subadditive state through a central element, mirroring the atom-dichotomy
 procedure.
+
+An LP is solved in the free parameters of its equality rows (implicit
+equalities and the Farkas alternative: Schrijver 1986, Theory of Linear
+and Integer Programming).  One Gauss-Jordan elimination (row_reduce)
+writes every solution of the additivity rows as w = w0 + N t, with t the
+k values at the columns that are no pivot; k is 1-4 on the constructions
+measured.  An inconsistent system is refuted by the elimination alone.
+Otherwise w0 + N t >= 0 and the kept join rows are decided by the
+alternative y >= 0, y N = 0, y w0 = -1, which has k + 1 rows, with the
+simplex's phase 1.  When the alternative is infeasible, its multipliers
+(u, s) give t = u / s, a state; when it has a solution y, the
+elimination's record maps y to multipliers over the input rows, and the
+certificate covers the unreduced state_system.
 
 The functions here take a valid algebra.  The LP carries no bound rows
 w(x) <= 1: the complement rows w(x) + w(x') = w(1) = 1 and w >= 0 imply
 them, and state_system raises StructuralError on a table where some
 element lacks a unique orthosupplement.  Its rows have integer
 coefficients (0 and +-1 on the right), so the LP runs in integers from
-state_system to the vertex; verify_state and the certificate check scale
+state_system to the state; verify_state and the certificate check scale
 the values or multipliers by the lcm of their denominators and check in
 integers too.
 
-The subadditive LP puts a join row in the tableau only for a pair that is
-not Mackey compatible.  For compatible x = x1 + d and y = y1 + d the sum
+The subadditive LP has a join row only for a pair that is not Mackey
+compatible.  For compatible x = x1 + d and y = y1 + d the sum
 x1 + y1 + d bounds x and y, so w(x v y) <= w(x) + w(y) - w(d) holds for
 every state and the join row is implied.  state_system still returns every
 join row, and a certificate gives each dropped row multiplier 0.
@@ -40,7 +53,7 @@ from .errors import (
     NotCentral,
     NotLattice,
 )
-from .linsolve import ZERO, matrix_rank, row_basis, solve_standard
+from .linsolve import ZERO, matrix_rank, row_reduce, solve_standard
 from .structure import (
     center,
     compatibility_center,
@@ -235,44 +248,121 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     )
 
 
-def _to_standard(sys: LinearSystem, ineqs=None):
-    """Standard form A z = b, z >= 0 of the presolved system.
+def _parametrize(sys: LinearSystem, ineqs):
+    """The states of sys as w = w0 + N t: eliminate the equality rows once
+    and write w >= 0 and the inequality rows ineqs in the free parameters.
 
-    The equality rows kept are the first basis of [coeffs | rhs], so an
-    inconsistent system keeps a row that contradicts the others.  No row
-    bounds w_i <= 1, which the complement rows imply.  ineqs lists the
-    inequality rows to keep, in order (all of them by default).  Returns
-    A, b and the indices of the kept equality rows; z = (w, ineq slacks)
-    has n_vars + len(ineqs) columns, and the t-th kept inequality row has
-    its slack in column n_vars + t, after its own columns.
+    Returns (red, k, cons).  red is the row-reduced [coeffs | rhs] of the
+    equality rows; t_q is w at the q-th of the k columns that are no
+    pivot.  cons holds one constraint per w_i >= 0 and per inequality row
+    in ineqs, each as (coefficients, scale): the constraint times its
+    positive integer scale reads coefficients . (t, 1) >= 0, with
+    coefficients a map {q: value} and the constant term at q = k.  A pivot
+    row reads w_p + sum over free f of R_f w_f = R_n, so
+    den * w_p = R_n - sum R_f t_f.  cons is None when the equality rows
+    are inconsistent: a reduced row then has its pivot in the rhs column.
     """
     n = sys.n_vars
-    if ineqs is None:
-        ineqs = range(len(sys.ineq_rows))
-    eqs = row_basis([coeffs + ((n, rhs),) for coeffs, rhs in sys.eq_rows])
-    A = [sys.eq_rows[i][0] for i in eqs]
-    b = [sys.eq_rows[i][1] for i in eqs]
-    for t, i in enumerate(ineqs):
-        coeffs, rhs = sys.ineq_rows[i]
-        A.append(coeffs + ((n + t, 1),))
-        b.append(rhs)
-    return A, b, eqs
+    red = row_reduce([coeffs + ((n, rhs),) for coeffs, rhs in sys.eq_rows])
+    pivot_row = dict(zip(red.pivots, zip(red.rows, red.dens)))
+    free = [j for j in range(n) if j not in pivot_row]
+    k = len(free)
+    if n in pivot_row:
+        return red, k, None
+    param = {f: q for q, f in enumerate(free)}
+    param[n] = k
 
+    def den(j):
+        return pivot_row[j][1] if j in pivot_row else 1
 
-def _certificate(sys: LinearSystem, farkas, eqs, ineqs) -> InfeasibilityCertificate:
-    """The certificate over the whole system: multipliers of the presolved
-    rows in place, 0 on every dropped row and every bound."""
-    lam = iter(farkas)
-    eq_mult = [ZERO] * len(sys.eq_rows)
-    for i in eqs:
-        eq_mult[i] = next(lam)
-    ineq_mult = [ZERO] * len(sys.ineq_rows)
+    def add(j, mult, out):
+        """Add mult times den(j) * w_j, in t, to out."""
+        if j in param:
+            out[param[j]] = out.get(param[j], 0) + mult
+            return
+        for f, v in pivot_row[j][0].items():
+            if f != j:
+                q = param[f]
+                out[q] = out.get(q, 0) + (mult * v if f == n else -mult * v)
+
+    cons = []
+    for j in range(n):
+        out = {}
+        add(j, 1, out)
+        cons.append((out, den(j)))
     for i in ineqs:
-        ineq_mult[i] = next(lam)
+        coeffs, rhs = sys.ineq_rows[i]
+        # rhs - coeffs . w >= 0, scaled by the lcm of its columns' dens
+        scale = lcm(*(den(j) for j, _ in coeffs))
+        out = {k: rhs * scale}
+        for j, c in coeffs:
+            add(j, -c * (scale // den(j)), out)
+        cons.append(({q: v for q, v in out.items() if v}, scale))
+    return red, k, cons
+
+
+def _to_standard(cons, k, extra=(), rhs=None):
+    """The Farkas alternative of the constraints cons . (t, 1) >= 0 in
+    solve_standard's form: y >= 0 over one column per constraint, and one
+    row per parameter t_q and for the constant, so k + 1 rows.
+
+    y . N = 0 and y . w0 = -1 (rhs None) is feasible exactly when no t
+    meets every constraint.  extra holds further columns, as {q: value}
+    maps, after the constraints' columns; rhs replaces the right-hand side.
+    Returns A, b and the column count.
+    """
+    A = [[] for _ in range(k + 1)]
+    for col, coeffs in enumerate([c for c, _ in cons] + list(extra)):
+        for q, v in sorted(coeffs.items()):
+            A[q].append((col, v))
+    b = [0] * k + [-1] if rhs is None else rhs
+    return [tuple(row) for row in A], b, len(cons) + len(extra)
+
+
+def _values(k, cons, farkas, n):
+    """w_0 .. w_(n-1) at the parameters read off the multipliers of an
+    infeasible alternative.
+
+    farkas = (u, s) has u . N_i + s w0_i <= 0 for every constraint and
+    s < 0, so t = u / s meets them all.  Scaled to integers m = (u, s) * d
+    for a d > 0, t_q = m_q / m_k and each value is (coefficients . m) over
+    m_k times the constraint's scale.
+    """
+    d = lcm(*(v.denominator for v in farkas))
+    m = [v.numerator * (d // v.denominator) for v in farkas]
+    return tuple(Fraction(sum(v * m[q] for q, v in coeffs.items()), m[k] * scale)
+                 for coeffs, scale in cons[:n])
+
+
+def _certificate(sys: LinearSystem, red, cons, y, ineqs):
+    """The certificate over the whole system from a solution y of the
+    alternative.
+
+    y . N = 0 says that a . w is constant on the solutions of the equality
+    rows, for a = sum of y_i scale_i e_i over the w constraints less sum of
+    y_j scale_j g_j over the inequality rows g_j; so a is a combination of
+    the equality rows, and its pivot entries are its combination of the
+    reduced rows, which the reduction maps back to the input rows.  An
+    inconsistent system has the reduced row (0 | 1) instead.  Every
+    dropped row and every bound gets 0.
+    """
+    n = sys.n_vars
+    ineq_mult = [ZERO] * len(sys.ineq_rows)
+    if cons is None:
+        lam = red.combination({red.pivots.index(n): 1})
+    else:
+        a = [y[j] * cons[j][1] for j in range(n)]
+        for t, i in enumerate(ineqs):
+            m = y[n + t] * cons[n + t][1]
+            ineq_mult[i] = -m
+            for j, c in sys.ineq_rows[i][0]:
+                a[j] -= m * c
+        lam = {i: -v for i, v in red.combination(
+            {i: a[p] for i, p in enumerate(red.pivots)}).items()}
     cert = InfeasibilityCertificate(
         system=sys,
-        eq_mult=tuple(eq_mult),
-        bound_mult=(ZERO,) * sys.n_vars,
+        eq_mult=tuple(lam.get(i, ZERO) for i in range(len(sys.eq_rows))),
+        bound_mult=(ZERO,) * n,
         ineq_mult=tuple(ineq_mult),
     )
     if not cert.verify():
@@ -283,11 +373,13 @@ def _certificate(sys: LinearSystem, farkas, eqs, ineqs) -> InfeasibilityCertific
 
 def _solve(E, sys: LinearSystem, ineqs):
     """Solve sys with the equality rows and the inequality rows ineqs."""
-    A, b, eqs = _to_standard(sys, ineqs)
-    res = solve_standard(A, b, sys.n_vars + len(ineqs))
-    if res.status == "infeasible":
-        return _certificate(sys, res.farkas, eqs, ineqs)
-    state = StateVector(E, tuple(res.x[:sys.n_vars]))
+    red, k, cons = _parametrize(sys, ineqs)
+    if cons is None:
+        return _certificate(sys, red, cons, None, ineqs)
+    res = solve_standard(*_to_standard(cons, k))
+    if res.status == "feasible":
+        return _certificate(sys, red, cons, res.x, ineqs)
+    state = StateVector(E, _values(k, cons, res.farkas, sys.n_vars))
     bad = verify_state(E, state, require_subadditive=bool(sys.ineq_rows))
     if bad:
         raise InternalCheckFailed(f"solver state fails verification: {bad[:3]}")
@@ -302,11 +394,10 @@ def find_state(E: FiniteEffectAlgebra):
 def find_subadditive_state(E: FiniteEffectAlgebra):
     """A subadditive StateVector, or a certificate; lattice instances only.
 
-    The tableau has the join rows of the incompatible pairs only: the
-    others are implied (see the module docstring), so the LP has the same
-    states.  A found state is verified as subadditive over every pair,
-    which includes the pairwise exchange identity
-    w(x) + w(y) = w(x v y) + w(x ^ y).
+    The LP has the join rows of the incompatible pairs only: the others
+    are implied (see the module docstring), so it has the same states.  A
+    found state is verified as subadditive over every pair, which includes
+    the pairwise exchange identity w(x) + w(y) = w(x v y) + w(x ^ y).
     """
     sys = state_system(E, subadditive=True)
     ineqs = [t for t, (x, y) in enumerate(_middle_pairs(E))
@@ -317,36 +408,44 @@ def find_subadditive_state(E: FiniteEffectAlgebra):
 def state_space_dimension(E: FiniteEffectAlgebra) -> int:
     """Affine dimension of the state polytope; -1 when it is empty.
 
-    The affine hull is cut out by the equality rows and by w_j = 0 for
-    every j that no state makes positive (Schrijver 1986, Theory of Linear
-    and Integer Programming), so feasibility LPs suffice.  The first is the
-    presolved LP of find_state, and its vertex's support starts the set of
-    coordinates some state makes positive.  Each further LP is the
-    homogenized system A z - lam b = 0, z >= 0, lam >= 0, with the w_j
-    outside that set summing to 1: a solution adds its support to the set,
-    and infeasibility ends the search.  The rows w(1) = 1 and
-    w(x) + w(x') = w(1) homogenize to w(1) = lam >= w(x), so lam > 0 and
-    z / lam is a state.  Each point found is positive where all earlier
-    ones are 0, so the points are affinely independent and a call solves
-    at most dim + 2 LPs.
+    In the free parameters t of w = w0 + N t the polytope is
+    {t : w0_i + N_i t >= 0}, and its affine hull is cut out by the
+    implicit equalities: the i with w_i = 0 in every state (Schrijver
+    1986, Theory of Linear and Integer Programming).  So the dimension is
+    k minus the rank of those rows N_i, and feasibility LPs find them.
+    The first is find_state's, and its state's support starts the set of
+    coordinates some state makes positive.  Each further LP asks for
+    (t, lam) with lam >= 0, lam w0_i + N_i t >= 0 for all i and those
+    outside the set summing to 1, through its Farkas alternative over the
+    same k + 1 rows: multipliers of an infeasible alternative give such a
+    point, with lam > 0 since the polytope is bounded, and t / lam is a
+    state that adds its support to the set; a solution of the alternative
+    ends the search.  Each state found is positive where all earlier ones
+    are 0, so they are affinely independent and a call solves at most
+    dim + 2 LPs.
     """
     sys = state_system(E, subadditive=False)
-    A, b, eqs = _to_standard(sys)
     n = sys.n_vars
-    res = solve_standard(A, b, n)
-    if res.status == "infeasible":
+    _, k, cons = _parametrize(sys, ())
+    if cons is None:
         return -1
-    support = {j for j in range(n) if res.x[j] != 0}
-    homogenized = [row + ((n, -bi),) for row, bi in zip(A, b)]
-    rhs = [0] * len(A) + [1]
+    res = solve_standard(*_to_standard(cons, k))
+    if res.status == "feasible":
+        return -1
+    support = {j for j, v in enumerate(_values(k, cons, res.farkas, n)) if v}
     while len(support) < n:
-        outside = tuple((j, 1) for j in range(n) if j not in support)
-        res = solve_standard(homogenized + [outside], rhs, n + 1)
-        if res.status == "infeasible":
+        outside = [j for j in range(n) if j not in support]
+        rhs = [0] * (k + 1)
+        for j in outside:
+            for q, v in cons[j][0].items():
+                rhs[q] -= v
+        res = solve_standard(*_to_standard(cons, k, ({k: 1},), rhs))
+        if res.status == "feasible":
             break
-        support.update(j for j in range(n) if res.x[j] != 0)
-    rows = A + [((j, 1),) for j in range(n) if j not in support]
-    return n - matrix_rank(rows)
+        support.update(j for j, v in enumerate(_values(k, cons, res.farkas, n)) if v)
+    implicit = [cons[j][0] for j in range(n) if j not in support]
+    return k - matrix_rank([tuple(sorted((q, v) for q, v in coeffs.items() if q < k))
+                            for coeffs in implicit])
 
 
 def fm_feasible(sys: LinearSystem) -> bool:

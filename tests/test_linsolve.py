@@ -9,14 +9,22 @@ from hypothesis import given, settings, strategies as st
 import effalg.states
 from effalg.algfile import load_algebra
 from effalg.construct import boolean_algebra, chain, product
+from effalg.core import derive_order
+from effalg.enumeration import EnumerationConfig, enumerate_algebras
 from effalg.linsolve import (
     SimplexResult,
     fourier_motzkin_feasible,
     matrix_rank,
     row_basis,
+    row_reduce,
     solve_standard,
 )
-from effalg.states import find_state, find_subadditive_state, state_space_dimension
+from effalg.states import (
+    InfeasibilityCertificate,
+    find_state,
+    find_subadditive_state,
+    state_space_dimension,
+)
 from oracle_dense_simplex import dense_row_basis, solve_dense, verify_farkas
 
 F = Fraction
@@ -165,12 +173,21 @@ class TestDenseOracle:
         if res.status == "infeasible":
             assert verify_farkas(A, b, res.farkas)
 
-    @pytest.mark.parametrize("call, E", [
-        (find_subadditive_state, boolean_algebra(4)),
-        (state_space_dimension, product([boolean_algebra(2), chain(3)])),
-        (find_state, load_algebra(STATELESS9)),
-    ], ids=["subadditive-boolean4", "dimension-b2xc3", "certificate-stateless9"])
-    def test_same_state_lps_as_dense_pivots(self, call, E, monkeypatch):
+    @pytest.mark.parametrize("call, E, solves", [
+        (find_subadditive_state, boolean_algebra(4), True),
+        (state_space_dimension, product([boolean_algebra(2), chain(3)]), True),
+        (find_state, load_algebra(STATELESS9), False),
+        (find_subadditive_state, next(
+            E for E in enumerate_algebras(EnumerationConfig(size=6))
+            if derive_order(E).is_lattice
+            and isinstance(find_subadditive_state(E), InfeasibilityCertificate)),
+         True),
+    ], ids=["subadditive-boolean4", "dimension-b2xc3", "certificate-stateless9",
+            "certificate-lattice6"])
+    def test_same_state_lps_as_dense_pivots(self, call, E, solves, monkeypatch):
+        # stateless9's equality rows are inconsistent, so the elimination
+        # refutes them and no LP reaches the pivots; a size-6 lattice with
+        # no subadditive state gets its certificate from an LP
         lps = []
 
         def dense(A, b, n):
@@ -183,7 +200,7 @@ class TestDenseOracle:
         expected = call(E)
         monkeypatch.setattr(effalg.states, "solve_standard", dense)
         assert call(E) == expected
-        assert lps
+        assert bool(lps) == solves
 
 
 class TestRank:
@@ -240,3 +257,20 @@ class TestRowBasisOracle:
         kept = row_basis(pairs(rows))
         assert kept == dense_row_basis(rows)
         assert matrix_rank(pairs(rows)) == len(kept)
+
+    @given(dependent_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_rows_and_their_record(self, rows):
+        # reduced row echelon form: 1 at the row's own pivot, 0 at every
+        # other pivot; and the record rebuilds each reduced row exactly
+        # from the input rows
+        red = row_reduce(pairs(rows))
+        assert red.kept == dense_row_basis(rows)
+        n = len(rows[0])
+        reduced = densify([[(j, F(v, d)) for j, v in r.items()]
+                           for r, d in zip(red.rows, red.dens)], n)
+        for i, row in enumerate(reduced):
+            assert [row[p] for p in red.pivots] == [F(int(i == t)) for t in range(len(red.pivots))]
+            lam = red.combination({i: 1})
+            assert set(lam) <= set(red.kept)
+            assert [sum(c * rows[k][j] for k, c in lam.items()) for j in range(n)] == row

@@ -1,6 +1,7 @@
 """Property-based checks over randomly built and randomly damaged algebras."""
 
 from fractions import Fraction
+from math import prod
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -37,6 +38,21 @@ def specs(max_depth=2):
     return st.recursive(leaves, compound, max_leaves=4)
 
 
+def spec_size(spec):
+    """The size of build(spec), read off the spec without building it.
+
+    A drawn product can have up to 4,096 elements, so a test that bounds
+    the size assumes on this before it builds."""
+    if spec.kind == "boolean":
+        return 1 << spec.args[0]
+    if spec.kind == "chain":
+        return spec.args[0] + 1
+    sizes = [spec_size(part) for part in spec.args]
+    if spec.kind == "product":
+        return prod(sizes)
+    return sizes[0] if len(sizes) == 1 else 2 + sum(n - 2 for n in sizes)
+
+
 class TestConstructedAlgebras:
     @given(specs())
     @settings(max_examples=60, deadline=None)
@@ -47,8 +63,10 @@ class TestConstructedAlgebras:
     @given(specs())
     @settings(max_examples=40, deadline=None)
     def test_flags_carry_witnesses_exactly_when_false(self, spec):
+        size = spec_size(spec)
+        assume(size <= 64)
         E = build(spec)
-        assume(E.size <= 64)
+        assert E.size == size
         flags = classify(E)
         for name in ("is_lattice", "is_modular", "is_distributive",
                      "is_orthomodular", "is_mv", "is_sharply_dominating",
@@ -59,8 +77,10 @@ class TestConstructedAlgebras:
     @given(specs())
     @settings(max_examples=30, deadline=None)
     def test_states_of_constructions_verify(self, spec):
+        size = spec_size(spec)
+        assume(size <= 40)
         E = build(spec)
-        assume(E.size <= 40)
+        assert E.size == size
         got = find_state(E)
         assert isinstance(got, StateVector)
         assert verify_state(E, got) == []
@@ -68,8 +88,10 @@ class TestConstructedAlgebras:
     @given(specs(), st.randoms())
     @settings(max_examples=30, deadline=None)
     def test_canonical_key_is_label_blind(self, spec, rng):
+        size = spec_size(spec)
+        assume(size <= 16)
         E = build(spec)
-        assume(E.size <= 16)
+        assert E.size == size
         perm = list(E.elements())
         rng.shuffle(perm)
         table = [[None] * E.size for _ in range(E.size)]

@@ -20,6 +20,7 @@ from effalg.linsolve import matrix_rank, row_basis, solve_standard
 from effalg.states import (
     InfeasibilityCertificate,
     StateVector,
+    _parametrize,
     _to_standard,
     find_state,
     find_subadditive_state,
@@ -31,6 +32,7 @@ from effalg.states import (
     verify_state,
 )
 from effalg.structure import compatible
+import oracle_full_tableau as full
 from oracle_fraction_check import certificate_holds, state_violations
 
 F = Fraction
@@ -107,17 +109,28 @@ class TestPresolve:
         (boolean_algebra(4), True, True),
         (load_algebra(STATELESS9), False, False),
     ], ids=["boolean5", "boolean4-subadditive", "stateless9"])
-    def test_tableau_is_rank_sized(self, E, subadditive, consistent):
+    def test_tableau_is_rank_sized(self, E, subadditive, consistent, monkeypatch):
         sys = state_system(E, subadditive=subadditive)
         rank = matrix_rank([coeffs for coeffs, _ in sys.eq_rows])
         assert consistent == (rank == matrix_rank(
             [coeffs + ((E.size, rhs),) for coeffs, rhs in sys.eq_rows]))
-        A, b, eqs = _to_standard(sys)
-        assert len(eqs) == rank + (0 if consistent else 1)
-        assert len(A) == len(eqs) + len(sys.ineq_rows)
-        # sparse rows: at most three coefficients and a slack, each column
-        # once and in increasing order
-        assert all(len(row) <= 4 for row in A)
+        red, k, cons = _parametrize(sys, range(len(sys.ineq_rows)))
+        assert red.kept == row_basis(
+            [coeffs + ((E.size, rhs),) for coeffs, rhs in sys.eq_rows])
+        assert len(red.kept) == rank + (0 if consistent else 1)
+        assert k == E.size - rank
+        # a reduced row has its pivot, at most k free columns and the rhs
+        assert all(len(row) <= k + 2 for row in red.rows)
+        if not consistent:
+            # the elimination alone decides it: no LP is solved
+            monkeypatch.setattr(effalg.states, "solve_standard", None)
+            assert isinstance(find_state(E), InfeasibilityCertificate)
+            return
+        A, b, cols = _to_standard(cons, k)
+        # the alternative: one row per free parameter and one for the
+        # constant, one column per w_i >= 0 and per inequality row
+        assert len(A) == len(b) == k + 1
+        assert cols == E.size + len(sys.ineq_rows)
         assert all([j for j, _ in row] == sorted({j for j, _ in row}) for row in A)
 
     @pytest.mark.parametrize("solve", [
@@ -224,9 +237,7 @@ class TestImpliedJoinRows:
             if E.size <= 6:
                 feasible = fm_feasible(sys)
             else:
-                A, b, _ = _to_standard(sys)
-                res = solve_standard(A, b, E.size + len(sys.ineq_rows))
-                feasible = res.status == "feasible"
+                feasible = isinstance(full.solve(E, sys), StateVector)
             got = find_subadditive_state(E)
             assert isinstance(got, StateVector) == feasible
             if isinstance(got, InfeasibilityCertificate):
@@ -251,6 +262,80 @@ class TestImpliedJoinRows:
         find_state(E)
         find_subadditive_state(E)
         assert len(tableaus) == 2 and tableaus[0] == tableaus[1]
+
+
+@functools.cache
+def classes(n):
+    """Every class of size n, in enumeration order."""
+    return list(enumerate_algebras(EnumerationConfig(size=n)))
+
+
+HS = horizontal_sum([chain(2), chain(2), chain(2)])
+
+
+def constructions():
+    """The nine instances of the benchmark's state LP workload, then
+    hs40 = HS x chain(7) and hs120 = HS x chain(3) x chain(5), instances
+    of the paper's hypothesis class."""
+    stateless9 = load_algebra(STATELESS9)
+    return [
+        product([boolean_algebra(2), chain(4)]),
+        product([chain(3), chain(4)]),
+        boolean_algebra(5),
+        horizontal_sum([stateless9, boolean_algebra(3)]),
+        horizontal_sum([stateless9, product([boolean_algebra(2), chain(3)])]),
+        boolean_algebra(4),
+        product([boolean_algebra(2), chain(3)]),
+        horizontal_sum([boolean_algebra(2), chain(4), chain(5)]),
+        product([boolean_algebra(1), chain(4)]),
+        product([HS, chain(7)]),
+        product([HS, chain(3), chain(5)]),
+    ]
+
+
+def assert_same_as_full_tableau(E):
+    """Verdicts and dimension equal the full tableau's; every state
+    verifies, the only state is the tableau's, and every certificate
+    verifies against the unreduced system."""
+    dim = state_space_dimension(E)
+    assert dim == full.state_space_dimension(E)
+    calls = [(find_state, full.find_state, False)]
+    if derive_order(E).is_lattice:
+        calls.append((find_subadditive_state, full.find_subadditive_state, True))
+    for call, oracle, subadditive in calls:
+        got, want = call(E), oracle(E)
+        assert type(got) is type(want)
+        if isinstance(got, StateVector):
+            assert verify_state(E, got, require_subadditive=subadditive) == []
+            if dim == 0:
+                assert got.values == want.values
+        else:
+            assert got.system == state_system(E, subadditive=subadditive)
+            assert got.verify()
+
+
+class TestFullTableauOracle:
+    """The LPs in the free parameters decide as the full tableau does."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_enumerated_classes(self, n):
+        # every class up to size 9, and the lattices of size 10
+        for E in classes(n):
+            if n <= 9 or derive_order(E).is_lattice:
+                assert_same_as_full_tableau(E)
+
+    def test_constructions(self):
+        for E in constructions():
+            assert_same_as_full_tableau(E)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_fourier_motzkin_agrees(self, n):
+        for E in classes(n):
+            assert fm_feasible(state_system(E)) == isinstance(
+                find_state(E), StateVector)
+            if derive_order(E).is_lattice:
+                assert fm_feasible(state_system(E, subadditive=True)) == isinstance(
+                    find_subadditive_state(E), StateVector)
 
 
 class TestDimension:
@@ -296,7 +381,10 @@ class TestDimension:
 
         monkeypatch.setattr(effalg.states, "solve_standard", counted)
         assert state_space_dimension(E) == dim
-        assert 0 < len(calls) <= dim + 2
+        assert len(calls) <= dim + 2
+        # stateless9's equality rows are inconsistent: the elimination
+        # decides, with no LP
+        assert (len(calls) > 0) == (dim >= 0)
 
     @pytest.mark.parametrize("E, dim", [
         *[(boolean_algebra(k), k - 1) for k in range(1, 5)],

@@ -3,14 +3,15 @@
 hypothesis class and on a stateless horizontal sum.
 
 HS is horizontal_sum(chain(2), chain(2), chain(2)).  The instances are
-hs40 = HS x chain(7), hs60 = HS x chain(3) x chain(2) and
-hs120 = HS x chain(3) x chain(5), which are modular Archimedean atomic
-lattices with unsharp elements, and stateless = the horizontal sum of
-tests/fixtures/stateless9.alg and chain(3), which has no state.  For each
-instance the script runs check_all once and prints, per claim, whether
-the hypotheses are met, the verdict and the seconds taken, then the
-total and a digest of the reports, so that two trees can be compared
-instance by instance:
+hs40 = HS x chain(7), hs60 = HS x chain(3) x chain(2),
+hs120 = HS x chain(3) x chain(5), hs200 = HS x chain(3) x chain(9) and
+hs400 = HS x boolean(2) x chain(3) x chain(4), which are modular
+Archimedean atomic lattices with unsharp elements, and stateless = the
+horizontal sum of tests/fixtures/stateless9.alg and chain(3), which has
+no state.  For each instance the script runs check_all once and prints,
+per claim, whether the hypotheses are met, the verdict and the seconds
+taken, then the total and a digest of the reports, so that two trees can
+be compared instance by instance:
 
     python3 scripts/claim_timings.py
     python3 scripts/claim_timings.py --algebra hs40 --algebra stateless
@@ -27,7 +28,7 @@ sys.path.insert(0, str(root / "src"))
 
 from effalg import theorems
 from effalg.algfile import load_algebra
-from effalg.construct import chain, horizontal_sum, product
+from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 
 
 def hs():
@@ -38,6 +39,8 @@ ALGEBRAS = {
     "hs40": lambda: product([hs(), chain(7)]),
     "hs60": lambda: product([hs(), chain(3), chain(2)]),
     "hs120": lambda: product([hs(), chain(3), chain(5)]),
+    "hs200": lambda: product([hs(), chain(3), chain(9)]),
+    "hs400": lambda: product([hs(), boolean_algebra(2), chain(3), chain(4)]),
     "stateless": lambda: horizontal_sum(
         [load_algebra(root / "tests" / "fixtures" / "stateless9.alg"), chain(3)]),
 }

@@ -15,6 +15,7 @@ from .errors import (
     InternalCheckFailed,
     NotBelow,
     NotCentral,
+    NotLattice,
     PartTooSmall,
     SizeOverflow,
     StructuralError,
@@ -264,63 +265,63 @@ def interval(E: FiniteEffectAlgebra, a: int, b: int) -> FiniteEffectAlgebra:
 
 @dataclass(frozen=True)
 class CentralDecomposition:
-    """Factors [0,c] and [0,c'] with the witnessing bijection.
+    """E split along a central element c as [0,c] x [0,c'].
 
-    iso[x] is the product index of (x meet c, x meet c'); carrier_low /
-    carrier_high give the parent elements backing each factor index.
+    lower is [0,c] as an algebra.  iso[x] = (i, j) places x meet c at
+    index i of [0,c] and x meet c' at index j of [0,c'], each factor's
+    elements counted in E's order; iso is a bijection onto those pairs
+    that carries E's sums to the coordinatewise sums.
     """
 
     lower: FiniteEffectAlgebra
-    upper: FiniteEffectAlgebra
-    prod: FiniteEffectAlgebra
-    iso: tuple[int, ...]
-    carrier_low: tuple[int, ...]
-    carrier_high: tuple[int, ...]
+    iso: tuple[tuple[int, int], ...]
 
 
 def central_decomposition(E: FiniteEffectAlgebra, c: int) -> CentralDecomposition:
-    """Split E along a central element c as [0,c] x [0,c']."""
-    # local import: structure builds on core only, so this cannot cycle
-    from .structure import center
+    """Split E along c as [0,c] x [0,c'], which E admits exactly when c is
+    central (Greechie, Foulis & Pulmannova 1995, The center of an effect
+    algebra, Order 12).
 
+    The split is checked on E's own table in O(n^2):
+    x -> (x meet c, x meet c') must be a bijection onto the pairs, and
+    x + y must be defined exactly when both coordinate sums are defined and
+    stay below c and c' respectively, with those sums as its meets.  A
+    failure raises NotCentral with its witness.  As for structure.center,
+    E must be a lattice (NotLattice otherwise).
+    """
     if c == E.zero or c == E.one:
         raise NotCentral(f"element {c} gives a degenerate factor")
-    cen = center(E)
-    if c not in cen:
-        raise NotCentral(f"element {c} is not central")
-
     order = derive_order(E)
+    if not order.is_lattice:
+        raise NotLattice("a central split needs a lattice instance")
     cprime = E.orth[c]
-    lower = interval(E, E.zero, c)
-    upper = interval(E, E.zero, cprime)
-    carrier_low = tuple(x for x in E.elements()
-                        if order.leq(E.zero, x) and order.leq(x, c))
-    carrier_high = tuple(x for x in E.elements()
-                         if order.leq(E.zero, x) and order.leq(x, cprime))
-    pos_low = {x: i for i, x in enumerate(carrier_low)}
-    pos_high = {x: i for i, x in enumerate(carrier_high)}
+    low, high = order.meet[c], order.meet[cprime]
 
-    prod = product([lower, upper])
-    iso = []
-    for x in E.elements():
-        xl = order.meet[x][c]
-        xh = order.meet[x][cprime]
-        if xl is None or xh is None:
-            raise InternalCheckFailed(f"missing meet with central element at {x}")
-        iso.append(pos_low[xl] * upper.size + pos_high[xh])
+    def fail(why):
+        raise NotCentral(f"{E.label(c)} is not central: {why}")
 
-    if len(set(iso)) != E.size or E.size != prod.size:
-        raise InternalCheckFailed("central decomposition map is not a bijection")
+    pos_low = {x: i for i, x in enumerate(bits(order.down[c]))}
+    pos_high = {x: j for j, x in enumerate(bits(order.down[cprime]))}
+    iso = tuple((pos_low[low[x]], pos_high[high[x]]) for x in E.elements())
+    first = {}
+    for x, pair in enumerate(iso):
+        if first.setdefault(pair, x) != x:
+            fail(f"{E.label(first[pair])} and {E.label(x)} have the same meets")
+    if len(first) != len(pos_low) * len(pos_high):
+        fail("some pair of meets belongs to no element")
+
+    S = E.sum
     for x in E.elements():
+        row, row_low, row_high = S[x], S[low[x]], S[high[x]]
         for y in E.elements():
-            s = E.sum[x][y]
-            ps = prod.sum[iso[x]][iso[y]]
-            if (s is None) != (ps is None) or (s is not None and iso[s] != ps):
-                raise InternalCheckFailed(
-                    f"central decomposition does not preserve sums at ({x},{y})")
-    return CentralDecomposition(
-        lower=lower, upper=upper, prod=prod,
-        iso=tuple(iso), carrier_low=carrier_low, carrier_high=carrier_high)
+            # the sums in [0,c] and [0,c'], None where undefined in E or
+            # not below c (c'), as positions
+            pair = (pos_low.get(row_low[low[y]]), pos_high.get(row_high[high[y]]))
+            s = row[y]
+            if (s is None) != (None in pair) or (s is not None and iso[s] != pair):
+                fail(f"the split does not preserve the sum at "
+                     f"({E.label(x)},{E.label(y)})")
+    return CentralDecomposition(lower=interval(E, E.zero, c), iso=iso)
 
 
 @dataclass(frozen=True)

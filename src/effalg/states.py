@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .construct import interval
+from .construct import central_decomposition
 from .core import FiniteEffectAlgebra, bits, derive_order, element_order, oplus_sum
 from .errors import (
     DichotomyFailed,
@@ -55,7 +55,6 @@ from .errors import (
 )
 from .linsolve import ZERO, matrix_rank, row_reduce, solve_standard
 from .structure import (
-    center,
     compatibility_center,
     compatible,
     finite_elements,
@@ -547,22 +546,21 @@ def lift_failed(E: FiniteEffectAlgebra, c: int,
 def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
     """Lift a subadditive state of [0, c] through a central element c.
 
-    Requires c central and nonzero with [0, c] modular; the interval state
-    comes from the solver and the lift w(x) = w_c(x meet c) is verified to
-    be a subadditive state on E.
+    construct.central_decomposition tests that c is central and gives
+    [0, c] with the index of each x meet c in it; for c = 1, [0, 1] is E
+    and the lift is the identity.  Requires c nonzero with [0, c] modular;
+    the interval state comes from the solver and the lift
+    w(x) = w_c(x meet c) is verified to be a subadditive state on E.
     """
     if c == E.zero:
         raise HypothesisViolated("c != 0", "the zero element spans no interval")
-    cen = center(E)
-    if c not in cen:
-        raise NotCentral(f"{E.label(c)} is not central")
+    if c == E.one:
+        sub, low = E, range(E.size)
+    else:
+        dec = central_decomposition(E, c)
+        sub, low = dec.lower, [i for i, _ in dec.iso]
     if c not in finite_elements(E):
         raise HypothesisViolated("c finite", "unreachable on a finite algebra")
-
-    order = derive_order(E)
-    sub = interval(E, E.zero, c)
-    carrier = [x for x in E.elements() if order.leq(x, c)]
-    pos = {x: i for i, x in enumerate(carrier)}
 
     mod = is_modular(sub)
     if not mod:
@@ -572,8 +570,7 @@ def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
     if not isinstance(inner, StateVector):
         raise lift_failed(E, c, sub)
 
-    values = tuple(inner.values[pos[order.meet[x][c]]] for x in E.elements())
-    lifted = StateVector(E, values)
+    lifted = StateVector(E, tuple(inner.values[i] for i in low))
     bad = verify_state(E, lifted, require_subadditive=True)
     if bad:
         raise InternalCheckFailed(f"central lift is not a subadditive state: {bad[:3]}")
@@ -648,11 +645,12 @@ def state_via_exstate_procedure(E: FiniteEffectAlgebra) -> ExstateOutcome:
                     raise DichotomyFailed(a, b, f"join {j} != doubled atom {two_a}")
 
     c = oplus_sum(E, [a] * n_a)
-    if c not in center(E):
+    try:
+        state = state_from_central_finite(E, c)
+    except NotCentral as exc:
         raise InternalCheckFailed(
-            f"saturated atom multiple {c} is not central; falsification alarm")
-
-    state = state_from_central_finite(E, c)
+            f"saturated atom multiple {c} is not central; falsification alarm"
+        ) from exc
     return ExstateOutcome(state, ExstateTrace(
         atom=a, atom_order=n_a, branch=branch,
         dichotomy_checks=tuple(checks), central=c))

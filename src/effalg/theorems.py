@@ -22,7 +22,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
 
-from .construct import central_decomposition, interval
+from .construct import interval
 from .core import FiniteEffectAlgebra, bits, derive_order, difference, validate
 from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
                      UnknownClaim)
@@ -85,7 +85,7 @@ def _compact_set(E):
 # each of these once per instance between them:
 # - its subadditive LP, solved for modular.measure,
 #   state.from_central_element (at c = 1) and state.exists_unsharp_modular;
-# - each interval [0, z], built and validated by construct.interval;
+# - each interval [0, z] with z != 1, built and validated by construct.interval;
 # - its qualifying central elements, read by both the hypothesis and the
 #   conclusion of state.from_central_element.
 # A new instance replaces the old one's results, and nothing outlives the
@@ -124,8 +124,8 @@ def _subadditive_state(E):
 
 @_once_per_instance
 def _lower_interval(E, z):
-    """[0, z] as an algebra."""
-    return interval(E, E.zero, z)
+    """[0, z] as an algebra; [0, 1] is E itself."""
+    return E if z == E.one else interval(E, E.zero, z)
 
 
 @_once_per_instance
@@ -386,7 +386,6 @@ def _state_from_central(E):
         try:
             if c != E.one:
                 state_from_central_finite(E, c)
-                central_decomposition(E, c)
             elif not isinstance(_subadditive_state(E), StateVector):
                 # [0, 1] is E and the lift through 1 is the identity, so
                 # the lifted state is E's own, solved once with the others

@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 import effalg.states
 from conftest import algebra_from_sums, make_b2, make_c4, make_e5, make_hex6, make_hs2
 from effalg.algfile import load_algebra
-from effalg.construct import boolean_algebra, chain, horizontal_sum, product
+from effalg.construct import (boolean_algebra, central_decomposition, chain,
+                              horizontal_sum, interval, product)
 from effalg.core import derive_order
 from effalg.enumeration import EnumerationConfig, enumerate_algebras
-from effalg.errors import HypothesisViolated, NotCentral, StructuralError
+from effalg.errors import (HypothesisViolated, InternalCheckFailed, NotCentral,
+                           NotLattice, StructuralError)
 from effalg.linsolve import matrix_rank, row_basis, solve_standard
 from effalg.states import (
     InfeasibilityCertificate,
@@ -31,7 +33,7 @@ from effalg.states import (
     state_via_exstate_procedure,
     verify_state,
 )
-from effalg.structure import compatible
+from effalg.structure import center, compatible
 import oracle_full_tableau as full
 from oracle_fraction_check import certificate_holds, state_violations
 
@@ -516,6 +518,47 @@ class TestCentralLift:
             state_from_central_finite(e5, 0)
 
 
+def split_cases():
+    """Every lattice class of sizes 3-10, then the nine instances of the
+    benchmark's state LP workload, hs40 and product(boolean(2), chain(2))."""
+    return ([E for n in range(3, 11) for E in classes(n)
+             if derive_order(E).is_lattice]
+            + constructions()[:10] + [product([boolean_algebra(2), chain(2)])])
+
+
+class TestCentralSplitOracle:
+    """central_decomposition's check on E's own table against center(E),
+    and its split against the product [0,c] x [0,c'] built in full."""
+
+    def test_splits_exactly_at_the_center(self):
+        splits = 0
+        for E in split_cases():
+            middle = [c for c in E.elements() if c not in (E.zero, E.one)]
+            if not derive_order(E).is_lattice:
+                for c in middle:
+                    with pytest.raises(NotLattice):
+                        central_decomposition(E, c)
+                continue
+            cen = center(E)
+            for c in middle:
+                try:
+                    dec = central_decomposition(E, c)
+                except NotCentral:
+                    assert c not in cen
+                    continue
+                assert c in cen
+                upper = interval(E, E.zero, E.orth[c])
+                prod = product([dec.lower, upper])
+                index = [i * upper.size + j for i, j in dec.iso]
+                assert sorted(index) == list(range(prod.size))
+                for x in E.elements():
+                    for y in E.elements():
+                        s, ps = E.sum[x][y], prod.sum[index[x]][index[y]]
+                        assert ps is None if s is None else ps == index[s]
+                splits += 1
+        assert splits
+
+
 class TestExstateProcedure:
     def test_e5_trace_and_state(self, e5):
         state, trace = state_via_exstate_procedure(e5)
@@ -540,6 +583,20 @@ class TestExstateProcedure:
     def test_hs2_rejected_all_sharp(self, hs2):
         with pytest.raises(HypothesisViolated):
             state_via_exstate_procedure(hs2)
+
+    def test_non_central_multiple_is_an_alarm(self, monkeypatch):
+        E = product([HS, chain(2)])
+        c = state_via_exstate_procedure(E).trace.central
+        assert c != E.one
+
+        def not_central(E, c):
+            raise NotCentral(f"{E.label(c)} is not central")
+
+        monkeypatch.setattr(effalg.states, "central_decomposition", not_central)
+        with pytest.raises(InternalCheckFailed) as info:
+            state_via_exstate_procedure(E)
+        assert str(info.value) == (f"saturated atom multiple {c} is not "
+                                   "central; falsification alarm")
 
     def test_output_verifies_subadditive(self, e5, c4):
         for E in (e5, c4):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import algebra_from_sums, make_c4
-from effalg import structure
+from effalg import construct, core, structure
 from effalg import theorems as th
 from effalg.construct import chain, horizontal_sum, product
 from effalg.enumeration import EnumerationConfig
@@ -157,6 +157,38 @@ class TestCheckAll:
         assert report == ClaimReport("sharp.hat_formula",
                                      statement("sharp.hat_formula"), True,
                                      hypotheses, True, None)
+
+    def test_central_split_builds_no_product(self):
+        E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
+        watched = {construct.product.__code__, structure.center.__code__,
+                   structure.compatibility_center.__code__}
+        calls, validated = [], []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            if frame.f_code in watched:
+                calls.append(frame.f_code.co_name)
+            elif frame.f_code is core.validate.__code__:
+                validated.append(frame.f_locals["E"].size)
+
+        sys.setprofile(profile)
+        try:
+            with th._per_instance():
+                report = check(E, "state.from_central_element")
+        finally:
+            sys.setprofile(None)
+        # the split is checked on E's own table: no rebuilt 60-element
+        # product, and no block search for the center
+        assert calls == []
+        assert validated and E.size not in validated
+        hypotheses = (("lattice", True), ("archimedean", True),
+                      ("atomic", True),
+                      ("qualifying central element exists", True))
+        assert report == ClaimReport(
+            "state.from_central_element",
+            statement("state.from_central_element"), True, hypotheses,
+            True, None)
 
     def test_each_interval_is_built_once_per_instance(self, monkeypatch):
         E = product([horizontal_sum([chain(2)] * 3), chain(3)])

@@ -345,6 +345,17 @@ def _min_key_search(T, n, f, stop_below=False):
     is never skipped: the least key, the stop_below answer (on complete
     and on partial tables) and so every cut and every emitted table are
     those of the search without the skip.
+
+    The twins are computed only once a candidate comes up at a depth where
+    an earlier candidate has already been descended into.  Until then the
+    skip changes nothing.  An unplaced earlier twin of e is an earlier
+    candidate at e's depth, where nothing has been skipped yet, so it was
+    placed, and its comparison failed without descending.  A failing
+    comparison leaves best as it was (one that lowers best descends), so
+    best is the same when e is compared, and e reads the same entries as
+    its twin: e fails in the same way, and it is skipped in effect.  A
+    search that finds its hit below the first candidate it descends into
+    at each depth, as many cut inner nodes do, never scans for twins.
     """
     m = n - 2
     cells = _key_cells(m)
@@ -360,7 +371,7 @@ def _min_key_search(T, n, f, stop_below=False):
         # -1 lies below every entry: tying the decided prefix concludes nothing
         cut = best.index(n + 1)
         best[cut:] = [-1] * (size - cut)
-    twins = _twins(T, n, f)
+    twins = None   # _twins(T, n, f), once a candidate could be skipped
     orth = _involution(n, f)
     fixed = list(range(1, f + 1))
     paired = list(range(f + 1, m + 1))
@@ -371,6 +382,7 @@ def _min_key_search(T, n, f, stop_below=False):
         # a relabeling below best on a prefix lowers best to that prefix
         # followed by n + 2, above every entry; the relabeling's first
         # completion then fills best in, so best ends as the least key.
+        nonlocal twins
         if d > m:
             return False
         if d <= f:
@@ -379,12 +391,16 @@ def _min_key_search(T, n, f, stop_below=False):
             cands, width = paired, 2
         nxt = d + width
         end = (nxt - 1) * nxt // 2   # the entries of columns 1..nxt-1
+        descended = False   # whether a candidate at d was descended into
         for e in cands:
             if pos[e]:
                 continue
-            # an unplaced earlier twin's subtree is a relabeled copy of e's
-            if twins[e] and not all(pos[t] for t in twins[e]):
-                continue
+            if descended:
+                if twins is None:
+                    twins = _twins(T, n, f)
+                # an unplaced earlier twin's subtree is a relabeled copy of e's
+                if twins[e] and not all(pos[t] for t in twins[e]):
+                    continue
             inv[d] = e
             pos[e] = d
             if width == 2:
@@ -412,6 +428,7 @@ def _min_key_search(T, n, f, stop_below=False):
                         best[k + 1:] = [n + 2] * (size - k - 1)
                     best[k] = enc
                     k += 1
+            descended = descended or k >= 0
             hit = k == -2 or k >= 0 and descend(nxt, k)
             pos[e] = pos[orth[e]] = 0
             if hit:

@@ -179,13 +179,22 @@ class InfeasibilityCertificate:
         return out
 
 
-def _pairs(points):
-    """The sparse row of (column, coefficient) points: coefficients summed
-    per column, zeros dropped, in increasing column order."""
-    coeffs = {}
-    for x, c in points:
-        coeffs[x] = coeffs.get(x, 0) + c
-    return tuple((x, c) for x, c in sorted(coeffs.items()) if c)
+def _sum_row(x, y, s, c=1):
+    """The sparse row of c * (w(x) + w(y) - w(s)) for x <= y: coefficients
+    summed per column, zeros dropped, in increasing column order."""
+    if x == y:
+        if s == x:
+            return ((x, c),)
+        return ((s, -c), (x, 2 * c)) if s < x else ((x, 2 * c), (s, -c))
+    if s == x:
+        return ((y, c),)
+    if s == y:
+        return ((x, c),)
+    if s < x:
+        return ((s, -c), (x, c), (y, c))
+    if s < y:
+        return ((x, c), (s, -c), (y, c))
+    return ((x, c), (y, c), (s, -c))
 
 
 def _middle_pairs(E: FiniteEffectAlgebra):
@@ -206,25 +215,19 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     orthosupplement, whose complement row bounds the LP.
     """
     E.orth
-    n = E.size
-    eq_rows, eq_labels = [], []
-
-    def row(points, rhs, label):
-        eq_rows.append((_pairs(points), rhs))
-        eq_labels.append(label)
-
-    row([(E.zero, 1)], 0, f"w({E.label(E.zero)}) = 0")
-    row([(E.one, 1)], 1, f"w({E.label(E.one)}) = 1")
+    n, zero, one = E.size, E.zero, E.one
+    label = [E.label(x) for x in range(n)]
+    eq_rows = [(((zero, 1),), 0), (((one, 1),), 1)]
+    eq_labels = [f"w({label[zero]}) = 0", f"w({label[one]}) = 1"]
     for x in range(n):
-        if x == E.zero:
+        if x == zero:
             continue
+        row = E.sum[x]
         for y in range(x, n):
-            if y == E.zero:
-                continue
-            s = E.sum[x][y]
-            if s is not None:
-                row([(x, 1), (y, 1), (s, -1)], 0,
-                    f"w({E.label(x)}) + w({E.label(y)}) = w({E.label(s)})")
+            s = row[y]
+            if s is not None and y != zero:
+                eq_rows.append((_sum_row(x, y, s), 0))
+                eq_labels.append(f"w({label[x]}) + w({label[y]}) = w({label[s]})")
 
     ineq_rows, ineq_labels = [], []
     if subadditive:
@@ -233,9 +236,8 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
             raise NotLattice("subadditivity needs all joins")
         for x, y in _middle_pairs(E):
             j = order.join[x][y]
-            ineq_rows.append((_pairs([(j, 1), (x, -1), (y, -1)]), 0))
-            ineq_labels.append(
-                f"w({E.label(j)}) <= w({E.label(x)}) + w({E.label(y)})")
+            ineq_rows.append((_sum_row(x, y, j, -1), 0))
+            ineq_labels.append(f"w({label[j]}) <= w({label[x]}) + w({label[y]})")
 
     return LinearSystem(
         n_vars=n,
@@ -243,7 +245,7 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
         ineq_rows=tuple(ineq_rows),
         eq_labels=tuple(eq_labels),
         ineq_labels=tuple(ineq_labels),
-        var_labels=tuple(E.label(x) for x in E.elements()),
+        var_labels=tuple(label),
     )
 
 

@@ -83,6 +83,9 @@ def _compact_set(E):
 # While check_all or sweep runs: [instance, {(function, args): result}] for
 # the functions below marked _once_per_instance, so that the claims compute
 # each of these once per instance between them:
+# - each named hypothesis verdict (is_modular, is_atomic, ...) on the
+#   instance itself; predicates that conclusions call on intervals are not
+#   read through it;
 # - its subadditive LP, solved for modular.measure,
 #   state.from_central_element (at c = 1) and state.exists_unsharp_modular;
 # - each interval [0, z] with z != 1, built and validated by construct.interval;
@@ -118,6 +121,12 @@ def _once_per_instance(fn):
 
 
 @_once_per_instance
+def _holds(E, pred):
+    """The verdict of a hypothesis predicate on E."""
+    return bool(pred(E))
+
+
+@_once_per_instance
 def _subadditive_state(E):
     return find_subadditive_state(E)
 
@@ -137,7 +146,11 @@ def _qualifying_centrals(E):
         if c == E.zero or c not in F:
             continue
         sub = _lower_interval(E, c)
-        if derive_order(sub).is_lattice and is_modular(sub):
+        if not derive_order(sub).is_lattice:
+            continue
+        # [0, 1] is E itself, whose modularity the hypotheses share
+        modular = _holds(E, is_modular) if sub is E else is_modular(sub)
+        if modular:
             out.append(c)
     return tuple(out)
 
@@ -569,7 +582,7 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
         # hypotheses are ordered so later ones are only evaluable when the
         # earlier ones hold; stop at the first failure
         for name, pred in claim.hypotheses:
-            ok = bool(pred(E))
+            ok = _holds(E, pred)
             detail.append((name, ok))
             if not ok:
                 return ClaimReport(claim_id, claim.statement, False,
@@ -588,8 +601,9 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
 def check_all(E: FiniteEffectAlgebra) -> list[ClaimReport]:
     """Every registered claim, in stable registry order.
 
-    The claims share one solve of the instance's subadditive LP and one
-    build of each interval [0, z] (see _PER_INSTANCE).
+    The claims share each hypothesis verdict, one solve of the instance's
+    subadditive LP and one build of each interval [0, z] (see
+    _PER_INSTANCE).
     """
     bad = validate(E)
     if bad:
@@ -616,8 +630,9 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     first counterexample, and the pass ends once every claim has failed.
     The config's time budget bounds the claim checks too: the deadline is
     read after each instance, and BudgetExceeded (with no checkpoint) ends
-    a sweep that has passed it.  The claims share one solve of each
-    instance's subadditive LP and one build of each interval [0, z].
+    a sweep that has passed it.  The claims share each hypothesis verdict,
+    one solve of each instance's subadditive LP and one build of each
+    interval [0, z].
     """
     from .enumeration import enumerate_algebras
 

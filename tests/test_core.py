@@ -1,8 +1,14 @@
 """Axiom checking and the derived order/difference machinery."""
 
+import time
+from pathlib import Path
+
 import pytest
 
-from conftest import algebra_from_sums, make_b2, make_c3, make_hs2
+from conftest import (algebra_from_sums, make_b2, make_c3, make_c4, make_e5,
+                      make_hex6, make_hs2)
+from effalg.algfile import load_algebra
+from effalg.construct import boolean_algebra, product
 from effalg.core import (
     FiniteEffectAlgebra,
     derive_order,
@@ -13,6 +19,7 @@ from effalg.core import (
     validate,
 )
 from effalg.errors import NotBelow, StructuralError, UndefinedSum, ZeroElement
+from oracle_cubic_validate import validate as cubic_validate
 
 
 def kinds(violations):
@@ -52,6 +59,15 @@ class TestValidate:
         broken = FiniteEffectAlgebra(3, 0, 2, tuple(tuple(r) for r in table))
         assert "Eiv" in kinds(validate(broken))
 
+    def test_cyclic_group_breaks_the_zero_one_law_alone(self):
+        # Z3 under addition, with one = 2: every sum is defined, and every
+        # axiom but the zero-one law holds
+        table = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
+        E = FiniteEffectAlgebra(3, 0, 2, table)
+        report = validate(E)
+        assert [(v.kind, v.witness) for v in report] == [("Eiv", (1,)), ("Eiv", (2,))]
+        assert report == cubic_validate(E)
+
     def test_zero_equals_one(self):
         E = algebra_from_sums(2, 0, 0, [])
         assert "zero-one" in kinds(validate(E))
@@ -89,6 +105,38 @@ class TestValidate:
         broken = FiniteEffectAlgebra(6, 0, 5, tuple(tuple(r) for r in table))
         got = kinds(validate(broken))
         assert "Eiv" in got and "Ei" in got
+
+    def test_fixtures_and_their_one_cell_damage_match_the_cubic_scan(self):
+        # every fixture, and every table made from one by setting one cell
+        # (and, separately, that cell and its mirror) to any value or None
+        fixtures = [make_b2(), make_c3(), make_c4(), make_e5(), make_hs2(),
+                    make_hex6(),
+                    load_algebra(Path(__file__).parent / "fixtures" / "stateless9.alg")]
+        damaged = 0
+        for E in fixtures:
+            assert validate(E) == cubic_validate(E) == []
+            n = E.size
+            for x in range(n):
+                for y in range(x, n):
+                    for v in [None, *range(n)]:
+                        for mirror in (False, True):
+                            table = [list(r) for r in E.sum]
+                            table[x][y] = v
+                            if mirror:
+                                table[y][x] = v
+                            broken = FiniteEffectAlgebra(n, E.zero, E.one, table)
+                            report = validate(broken)
+                            assert report == cubic_validate(broken), (E, x, y, v)
+                            damaged += report != []
+        assert damaged
+
+    def test_512_element_product_within_one_second(self):
+        E = product([boolean_algebra(3)] * 3)
+        start = time.perf_counter()
+        report = validate(E)
+        elapsed = time.perf_counter() - start
+        assert report == []
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 class TestOrthosupplement:

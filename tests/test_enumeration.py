@@ -29,6 +29,7 @@ from effalg.enumeration import (
 )
 from effalg.errors import BudgetExceeded, CheckpointError
 from effalg.states import StateVector, find_state, fm_feasible, state_system
+from oracle_eager_min_key import eager_min_key_search
 from oracle_frame_min import frame_min_key
 from oracle_labelled import (automorphism_count, frame_of, frames,
                              labelled_count, orbit_sums)
@@ -263,6 +264,36 @@ class TestTwinSkip:
         assert 0 < partial < len(tables)
         for T, n, f in tables:
             assert [sorted(t) for t in _twins(T, n, f)] == twin_lists(T, n, f)
+
+    def test_lazy_twin_scan_matches_the_eager_search(self, monkeypatch):
+        # every min-key call that enumerating size 9 makes, complete and
+        # partial tables alike, replayed against the search that scans for
+        # twins up front; then the keys of the 60 classes
+        calls = []
+
+        def recorded(T, n, f, stop_below=False):
+            calls.append((T[:], n, f, stop_below))
+            return _min_key_search(T, n, f, stop_below)
+
+        monkeypatch.setattr(enumeration, "_min_key_search", recorded)
+        classes = enumerate_size(9)
+        monkeypatch.undo()
+        assert len(classes) == 60
+        scans = []
+
+        def counted(T, n, f):
+            scans.append(n)
+            return _twins(T, n, f)
+
+        monkeypatch.setattr(enumeration, "_twins", counted)
+        for T, n, f, stop_below in calls:
+            assert (_min_key_search(T, n, f, stop_below)
+                    == eager_min_key_search(T, n, f, stop_below))
+        # some searches find their hit before a scan is needed
+        assert 0 < len(scans) < len(calls)
+        keys = [canonical_key(E) for E in classes]
+        monkeypatch.setattr(enumeration, "_min_key_search", eager_min_key_search)
+        assert [canonical_key(E) for E in classes] == keys
 
     def test_nearly_self_paired_frames_within_half_a_second(self):
         # the inner-node tests of these frames face up to 10! relabelings

@@ -17,6 +17,7 @@ from effalg.enumeration import canonical_key
 from effalg.errors import StructuralError, UndefinedSum
 from effalg.states import StateVector, find_state, verify_state
 from effalg.structure import classify, section_involution
+from oracle_cubic_validate import validate as cubic_validate
 
 CORPUS = [make_b2(), make_c3(), make_c4(), make_e5(), make_hs2(), make_hex6()]
 
@@ -144,6 +145,27 @@ class TestFuzzedTables:
         report = validate(mutated)  # must not raise, whatever the damage
         if table == [list(r) for r in E.sum]:
             assert report == []
+
+    @given(st.integers(0, len(CORPUS) - 1),
+           st.lists(st.tuples(st.integers(0, 400), st.integers(-1, 8),
+                              st.booleans()), min_size=1, max_size=3),
+           st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_validate_matches_the_cubic_oracle(self, idx, changes, as_lists):
+        # up to three cells set, each alone or with its mirror, so that some
+        # damage keeps the table symmetric; rows as tuples or as lists
+        E = CORPUS[idx]
+        n = E.size
+        table = [list(r) for r in E.sum]
+        for cell, value, mirror in changes:
+            x, y = (cell // n) % n, cell % n
+            v = None if value < 0 or value >= n else value
+            table[x][y] = v
+            if mirror:
+                table[y][x] = v
+        rows = table if as_lists else tuple(tuple(r) for r in table)
+        mutated = FiniteEffectAlgebra(size=n, zero=E.zero, one=E.one, sum=rows)
+        assert validate(mutated) == cubic_validate(mutated)
 
     @given(st.integers(0, len(CORPUS) - 1), st.integers(0, 400),
            st.integers(-1, 8))

@@ -36,6 +36,7 @@ from effalg.states import (
 from effalg.structure import center, compatible
 import oracle_full_tableau as full
 from oracle_fraction_check import certificate_holds, state_violations
+from oracle_state_system import dict_state_system
 
 F = Fraction
 HALF = F(1, 2)
@@ -338,6 +339,32 @@ class TestFullTableauOracle:
             if derive_order(E).is_lattice:
                 assert fm_feasible(state_system(E, subadditive=True)) == isinstance(
                     find_subadditive_state(E), StateVector)
+
+
+class TestStateSystemOracle:
+    """state_system builds each row as its sorted tuple, and its labels
+    from one list; the dict builder gives equal systems."""
+
+    def test_same_systems_as_the_dict_builder(self):
+        # damaged tables whose sums repeat a summand, with one
+        # orthosupplement per element: a + a = a; C4 with 2a + 2a = a;
+        # HS2 with a + c = a, a' + c' = c' and a' + c = a
+        damaged = [
+            algebra_from_sums(4, 0, 3, [(1, 2, 3), (1, 1, 1)]),
+            algebra_from_sums(4, 0, 3, [(1, 1, 2), (1, 2, 3), (2, 2, 1)]),
+            algebra_from_sums(6, 0, 5, [(1, 2, 5), (3, 4, 5), (1, 3, 1),
+                                        (2, 4, 4), (2, 3, 1)],
+                              labels=["0", "a", "a'", "c", "c'", "1"]),
+        ]
+        for E in damaged:
+            assert state_system(E) == dict_state_system(E)
+        algebras = ([E for n in range(2, 9) for E in classes(n)]
+                    + constructions() + [make_b2(), make_e5(), make_hex6()])
+        for E in algebras:
+            assert state_system(E) == dict_state_system(E)
+            if derive_order(E).is_lattice:
+                assert (state_system(E, subadditive=True)
+                        == dict_state_system(E, subadditive=True))
 
 
 class TestDimension:

@@ -210,6 +210,27 @@ class TestCheckAll:
         assert sorted(built) == sorted(set(asked))
         assert th._PER_INSTANCE.get() is None
 
+    def test_each_hypothesis_once_per_instance(self):
+        E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
+        assert E.size == 60
+        calls = []
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code is structure.is_modular.__code__
+                    and frame.f_locals["E"] is E):
+                calls.append(frame.f_code.co_name)
+
+        alone = [check(E, cid) for cid in CLAIM_IDS]
+        sys.setprofile(profile)
+        try:
+            reports = check_all(E)
+        finally:
+            sys.setprofile(None)
+        # thirteen claims name the modular hypothesis; E's verdict is computed
+        # once, while the intervals [0, c] get their own calls
+        assert calls == ["is_modular"]
+        assert reports == alone
+
     def test_conclusion_none_iff_hypotheses_unmet(self, corpus):
         for E in corpus:
             for r in check_all(E):

@@ -31,6 +31,7 @@ __all__ = [
     "product",
     "interval",
     "central_decomposition",
+    "central_split",
     "CentralDecomposition",
 ]
 
@@ -289,6 +290,12 @@ def central_decomposition(E: FiniteEffectAlgebra, c: int) -> CentralDecompositio
     failure raises NotCentral with its witness.  As for structure.center,
     E must be a lattice (NotLattice otherwise).
     """
+    iso = central_split(E, c)
+    return CentralDecomposition(lower=interval(E, E.zero, c), iso=iso)
+
+
+def central_split(E: FiniteEffectAlgebra, c: int) -> tuple[tuple[int, int], ...]:
+    """central_decomposition's check and its iso, without building [0,c]."""
     if c == E.zero or c == E.one:
         raise NotCentral(f"element {c} gives a degenerate factor")
     order = derive_order(E)
@@ -321,7 +328,7 @@ def central_decomposition(E: FiniteEffectAlgebra, c: int) -> CentralDecompositio
             if (s is None) != (None in pair) or (s is not None and iso[s] != pair):
                 fail(f"the split does not preserve the sum at "
                      f"({E.label(x)},{E.label(y)})")
-    return CentralDecomposition(lower=interval(E, E.zero, c), iso=iso)
+    return iso
 
 
 @dataclass(frozen=True)

@@ -313,21 +313,31 @@ class Reduction:
         The log holds, in the order they were made, the steps that built
         each reduced row: start from input row k, subtract f / d times
         reduced row j, divide by f / d.  Replaying it backwards moves each
-        reduced row's coefficient onto the rows it came from.
+        reduced row's coefficient onto the rows it came from.  Each
+        coefficient is kept as a (numerator, denominator) pair in lowest
+        terms and becomes a Fraction only at the end.
         """
-        nu = {i: Fraction(c) for i, c in coeffs.items() if c}
+        nu = {i: (c.numerator, c.denominator) for i, c in coeffs.items() if c}
         lam = {}
         for step, i, j, f, d in reversed(self._log):
-            c = nu.get(i)
-            if not c:
+            if i not in nu:
                 continue
+            p, q = nu[i]
             if step == "sub":
-                nu[j] = nu.get(j, ZERO) - c * Fraction(f, d)
+                a, b = nu.get(j, (0, 1))
+                nu[j] = _lowest(a * q * d - p * f * b, b * q * d)
             elif step == "div":
-                nu[i] = c * Fraction(d, f)
-            else:  # "start": row i began as input row j
-                lam[j] = lam.get(j, ZERO) + nu.pop(i)
-        return {k: v for k, v in lam.items() if v}
+                nu[i] = _lowest(p * d, q * f)
+            else:  # "start": row i began as input row j, its only one
+                lam[j] = nu.pop(i)
+        return {k: Fraction(p, q) for k, (p, q) in lam.items() if p}
+
+
+def _lowest(num, den):
+    """num / den as a (numerator, denominator) pair in lowest terms; the
+    denominator may be negative."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def row_reduce(rows) -> Reduction:

@@ -75,6 +75,7 @@ __all__ = [
     "state_space_dimension",
     "verify_state",
     "state_from_central_finite",
+    "lift_state",
     "lift_failed",
     "state_via_exstate_procedure",
     "ExstateTrace",
@@ -345,20 +346,24 @@ def _certificate(sys: LinearSystem, red, cons, y, ineqs):
     the equality rows, and its pivot entries are its combination of the
     reduced rows, which the reduction maps back to the input rows.  An
     inconsistent system has the reduced row (0 | 1) instead.  Every
-    dropped row and every bound gets 0.
+    dropped row and every bound gets 0.  a is built in integers, for
+    d * y with d the lcm of y's denominators, and every multiplier is
+    divided by d as it is written out.
     """
     n = sys.n_vars
     ineq_mult = [ZERO] * len(sys.ineq_rows)
     if cons is None:
         lam = red.combination({red.pivots.index(n): 1})
     else:
-        a = [y[j] * cons[j][1] for j in range(n)]
+        d = lcm(*(v.denominator for v in y))
+        dy = [v.numerator * (d // v.denominator) for v in y]
+        a = [dy[j] * cons[j][1] for j in range(n)]
         for t, i in enumerate(ineqs):
-            m = y[n + t] * cons[n + t][1]
-            ineq_mult[i] = -m
+            m = dy[n + t] * cons[n + t][1]
+            ineq_mult[i] = Fraction(-m, d)
             for j, c in sys.ineq_rows[i][0]:
                 a[j] -= m * c
-        lam = {i: -v for i, v in red.combination(
+        lam = {i: v / -d for i, v in red.combination(
             {i: a[p] for i, p in enumerate(red.pivots)}).items()}
     cert = InfeasibilityCertificate(
         system=sys,
@@ -557,22 +562,29 @@ def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
     if c == E.zero:
         raise HypothesisViolated("c != 0", "the zero element spans no interval")
     if c == E.one:
-        sub, low = E, range(E.size)
+        sub, iso = E, None
     else:
         dec = central_decomposition(E, c)
-        sub, low = dec.lower, [i for i, _ in dec.iso]
+        sub, iso = dec.lower, dec.iso
     if c not in finite_elements(E):
         raise HypothesisViolated("c finite", "unreachable on a finite algebra")
 
     mod = is_modular(sub)
     if not mod:
         raise HypothesisViolated("[0,c] modular", f"witness triple {mod.witness}")
+    return lift_state(E, c, sub, iso)
 
+
+def lift_state(E: FiniteEffectAlgebra, c: int, sub: FiniteEffectAlgebra,
+               iso) -> StateVector:
+    """state_from_central_finite once its hypotheses hold: sub is [0, c], a
+    modular lattice, and iso is central_split(E, c), or None for c = 1."""
     inner = find_subadditive_state(sub)
     if not isinstance(inner, StateVector):
         raise lift_failed(E, c, sub)
 
-    lifted = StateVector(E, tuple(inner.values[i] for i in low))
+    w = inner.values
+    lifted = StateVector(E, w if iso is None else tuple(w[i] for i, _ in iso))
     bad = verify_state(E, lifted, require_subadditive=True)
     if bad:
         raise InternalCheckFailed(f"central lift is not a subadditive state: {bad[:3]}")

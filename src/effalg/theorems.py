@@ -22,12 +22,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
 
-from .construct import interval
+from .construct import central_split, interval
 from .core import FiniteEffectAlgebra, bits, derive_order, difference, validate
 from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
                      UnknownClaim)
-from .states import (StateVector, find_subadditive_state, lift_failed,
-                     state_from_central_finite)
+from .states import StateVector, find_subadditive_state, lift_failed, lift_state
 from .structure import (
     _saturated_hat,
     blocks,
@@ -80,9 +79,9 @@ def _compact_set(E):
 
 # -- what the claims share about one instance --------------------------------
 
-# While check_all or sweep runs: [instance, {(function, args): result}] for
-# the functions below marked _once_per_instance, so that the claims compute
-# each of these once per instance between them:
+# While check, check_all or sweep runs: [instance, {(function, args):
+# result}] for the functions below marked _once_per_instance, so that the
+# claims compute each of these once per instance between them:
 # - each named hypothesis verdict (is_modular, is_atomic, ...) on the
 #   instance itself; predicates that conclusions call on intervals are not
 #   read through it;
@@ -92,7 +91,7 @@ def _compact_set(E):
 # - its qualifying central elements, read by both the hypothesis and the
 #   conclusion of state.from_central_element.
 # A new instance replaces the old one's results, and nothing outlives the
-# check_all or sweep call.
+# outermost check, check_all or sweep call.
 _PER_INSTANCE: ContextVar[list | None] = ContextVar("_PER_INSTANCE", default=None)
 
 
@@ -275,14 +274,18 @@ def join_sum_family_holds(E, family, b):
 
 
 def _join_sum_pairs(E):
-    n = E.size
+    """The pairs (and triples, up to 8 elements) of each [0, b'], in
+    ascending order.  (join of family) + b is defined only when the join
+    lies below b', so a family with a member outside [0, b'] holds
+    vacuously, and the first failure is the full scan's."""
+    order = derive_order(E)
     for b in E.elements():
-        for x in range(n):
-            for y in range(x + 1, n):
-                if not join_sum_family_holds(E, [x, y], b):
-                    return False, (x, y, b)
-        if n <= 8:
-            for t in combinations(range(n), 3):
+        below = list(bits(order.down[E.orth[b]]))
+        for x, y in combinations(below, 2):
+            if not join_sum_family_holds(E, [x, y], b):
+                return False, (x, y, b)
+        if E.size <= 8:
+            for t in combinations(below, 3):
                 if not join_sum_family_holds(E, list(t), b):
                     return False, t + (b,)
     return True, None
@@ -395,10 +398,12 @@ def _modular_measure(E):
 
 
 def _state_from_central(E):
+    # the hypothesis has built [0, c] and found it a modular lattice, so
+    # the lift takes it from there
     for c in _qualifying_centrals(E):
         try:
             if c != E.one:
-                state_from_central_finite(E, c)
+                lift_state(E, c, _lower_interval(E, c), central_split(E, c))
             elif not isinstance(_subadditive_state(E), StateVector):
                 # [0, 1] is E and the lift through 1 is the identity, so
                 # the lifted state is E's own, solved once with the others
@@ -577,6 +582,10 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
     if claim_id not in _REGISTRY:
         raise UnknownClaim(claim_id)
     claim = _REGISTRY[claim_id]
+    if _PER_INSTANCE.get() is None:
+        # the hypotheses and the conclusion share what they compute on E
+        with _per_instance():
+            return check(E, claim_id)
     detail = []
     try:
         # hypotheses are ordered so later ones are only evaluable when the

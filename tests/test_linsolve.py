@@ -26,6 +26,7 @@ from effalg.states import (
     state_space_dimension,
 )
 from oracle_dense_simplex import dense_row_basis, solve_dense, verify_farkas
+from oracle_fraction_certificate import fraction_combination
 
 F = Fraction
 STATELESS9 = Path(__file__).parent / "fixtures" / "stateless9.alg"
@@ -274,3 +275,16 @@ class TestRowBasisOracle:
             lam = red.combination({i: 1})
             assert set(lam) <= set(red.kept)
             assert [sum(c * rows[k][j] for k, c in lam.items()) for j in range(n)] == row
+
+    @given(dependent_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_combination_matches_the_fraction_replay(self, rows, data):
+        # combination() replays the record over integer pairs; the same
+        # replay over Fractions must give the same multipliers
+        red = row_reduce(pairs(rows))
+        value = st.one_of(st.integers(-10**6, 10**6),
+                          st.fractions(max_denominator=10**4))
+        coeffs = {i: data.draw(value) for i in range(len(red.pivots))}
+        got = red.combination(coeffs)
+        assert got == fraction_combination(red, coeffs)
+        assert all(type(v) is F and v for v in got.values())

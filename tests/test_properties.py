@@ -17,6 +17,7 @@ from effalg.enumeration import canonical_key
 from effalg.errors import StructuralError, UndefinedSum
 from effalg.states import StateVector, find_state, verify_state
 from effalg.structure import classify, section_involution
+from effalg.theorems import check_all
 from oracle_cubic_validate import validate as cubic_validate
 
 CORPUS = [make_b2(), make_c3(), make_c4(), make_e5(), make_hs2(), make_hex6()]
@@ -105,6 +106,34 @@ class TestConstructedAlgebras:
             size=E.size, zero=perm[E.zero], one=perm[E.one],
             sum=tuple(tuple(r) for r in table))
         assert canonical_key(shuffled) == canonical_key(E)
+
+
+def theorem_instances():
+    """Products of horizontal_sum([chain(2)] * k), k = 2-3, with up to two
+    chains and Boolean algebras: modular, Archimedean, atomic lattices with
+    unsharp elements, the class of the paper's main theorem."""
+    chain2 = ConstructionSpec("chain", (2,))
+    unsharp = st.builds(lambda k: ConstructionSpec("horizontal_sum", (chain2,) * k),
+                        st.integers(2, 3))
+    factor = st.one_of(
+        st.builds(lambda m: ConstructionSpec("chain", (m,)), st.integers(1, 9)),
+        st.builds(lambda k: ConstructionSpec("boolean", (k,)), st.integers(1, 2)),
+    )
+    return st.builds(lambda hs, rest: ConstructionSpec("product", (hs, *rest)),
+                     unsharp, st.lists(factor, max_size=2))
+
+
+class TestPaperTheorem:
+    @given(theorem_instances())
+    @settings(max_examples=25, deadline=None)
+    def test_claims_hold_with_the_theorem_hypotheses_met(self, spec):
+        size = spec_size(spec)
+        assume(size <= 60)
+        E = build(spec)
+        assert E.size == size
+        reports = {r.claim_id: r for r in check_all(E)}
+        assert [cid for cid, r in reports.items() if r.failed() or r.error] == []
+        assert reports["state.exists_unsharp_modular"].hypotheses_met
 
 
 class TestIteratedSums:

@@ -35,6 +35,7 @@ from effalg.states import (
 )
 from effalg.structure import center, compatible
 import oracle_full_tableau as full
+from oracle_fraction_certificate import fraction_multipliers
 from oracle_fraction_check import certificate_holds, state_violations
 from oracle_state_system import dict_state_system
 
@@ -464,6 +465,39 @@ def solver_states():
         if derive_order(E).is_lattice:
             out.append((E, find_subadditive_state(E), True))
     return out
+
+
+class TestIntegerCertificateOracle:
+    """_certificate builds its multipliers in integers; the Fraction
+    assembly it replaced must give the same ones."""
+
+    def test_same_multipliers_as_the_fraction_assembly(self, monkeypatch):
+        made = []
+        certificate = effalg.states._certificate
+
+        def recorded(*args):
+            cert = certificate(*args)
+            made.append((args, cert))
+            return cert
+
+        monkeypatch.setattr(effalg.states, "_certificate", recorded)
+        stateless9 = load_algebra(STATELESS9)
+        for E in (stateless9, *constructions()[3:5]):
+            assert isinstance(find_state(E), InfeasibilityCertificate)
+        lattices9 = [E for n in range(2, 10) for E in classes(n)
+                     if derive_order(E).is_lattice]
+        stateless = [E for E in lattices9 if isinstance(
+            find_subadditive_state(E), InfeasibilityCertificate)]
+        # 28 of the 34 size-9 lattice classes have no subadditive state
+        assert sum(E.size == 9 for E in stateless) == 28
+        assert len(made) == 3 + len(stateless)
+        for args, cert in made:
+            assert (cert.eq_mult, cert.ineq_mult) == fraction_multipliers(*args)
+            assert all(type(m) is F for m in cert.eq_mult + cert.ineq_mult)
+            assert cert.verify()
+        # the subadditive LPs reach the integer assembly, not only the
+        # inconsistent equality rows of the stateless tables
+        assert sum(cons is not None for (_, _, cons, _, _), _ in made) == len(stateless)
 
 
 @functools.cache

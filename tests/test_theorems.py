@@ -1,14 +1,20 @@
 """The claim registry: per-instance checks and enumeration sweeps."""
 
+import functools
 import sys
+import time
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import algebra_from_sums, make_c4
 from effalg import construct, core, structure
 from effalg import theorems as th
 from effalg.construct import chain, horizontal_sum, product
-from effalg.enumeration import EnumerationConfig
+from effalg.core import bits, derive_order
+from effalg.enumeration import EnumerationConfig, enumerate_algebras
 from effalg.errors import EffectAlgebraError, InternalCheckFailed, UnknownClaim
 from effalg.states import find_subadditive_state
 from effalg.theorems import (
@@ -24,6 +30,8 @@ from effalg.theorems import (
     statement,
     sweep,
 )
+import oracle_cubic_claims
+from oracle_cubic_claims import join_sum_pairs
 
 
 class TestRegistry:
@@ -190,6 +198,29 @@ class TestCheckAll:
             statement("state.from_central_element"), True, hypotheses,
             True, None)
 
+    def test_central_intervals_are_built_and_tested_once(self):
+        E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
+        built, tested = [], []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            if frame.f_code is construct.interval.__code__:
+                built.append(frame.f_locals["b"])
+            elif frame.f_code is structure.is_modular.__code__:
+                tested.append(frame.f_locals["E"])
+
+        sys.setprofile(profile)
+        try:
+            report = check(E, "state.from_central_element")
+        finally:
+            sys.setprofile(None)
+        assert report.hypotheses_met and report.conclusion_holds
+        # the hypothesis builds [0, c] and tests its modularity; the lift
+        # takes both from it
+        assert built and len(built) == len(set(built))
+        assert len(tested) == len({id(S) for S in tested}) == len(built) + 1
+
     def test_each_interval_is_built_once_per_instance(self, monkeypatch):
         E = product([horizontal_sum([chain(2)] * 3), chain(3)])
         built = []
@@ -324,3 +355,87 @@ class TestFamilyHelpers:
     def test_families_are_seed_deterministic(self, e5):
         assert random_families(e5, 50) == random_families(e5, 50)
         assert random_families(e5, 50, seed=1) != random_families(e5, 50, seed=2)
+
+
+HS = horizontal_sum([chain(2)] * 3)
+JOIN_SUM = "sum.distributes_over_join"
+
+
+@functools.cache
+def small_classes(max_n):
+    """Every class of sizes 2 to max_n, in enumeration order."""
+    return [E for n in range(2, max_n + 1)
+            for E in enumerate_algebras(EnumerationConfig(size=n))]
+
+
+def below_orth(E, b):
+    """The members of [0, b'], ascending."""
+    return list(bits(derive_order(E).down[E.orth[b]]))
+
+
+class TestJoinSumScan:
+    """sum.distributes_over_join tests the families inside each [0, b'];
+    the cubic scan over every family (tests/oracle_cubic_claims.py) must
+    reach the same report."""
+
+    def test_same_reports_as_the_cubic_scan(self, monkeypatch):
+        instances = small_classes(9) + [product([HS, chain(7)]),
+                                        product([HS, chain(3), chain(2)])]
+        reports = [check(E, JOIN_SUM) for E in instances]
+        cubic = replace(th._REGISTRY[JOIN_SUM], conclusion=join_sum_pairs)
+        monkeypatch.setitem(th._REGISTRY, JOIN_SUM, cubic)
+        assert reports == [check(E, JOIN_SUM) for E in instances]
+        assert all(r.hypotheses_met and r.conclusion_holds for r in reports)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_injected_failures_give_the_same_witness(self, data):
+        E = data.draw(st.sampled_from(
+            small_classes(8) + [product([HS, chain(2)])]))
+        faults = set()
+        for _ in range(data.draw(st.integers(1, 3))):
+            b = data.draw(st.sampled_from(range(E.size)))
+            below = below_orth(E, b)
+            # triples are scanned up to 8 elements only
+            sizes = [k for k in (2, 3)
+                     if len(below) >= k and (k == 2 or E.size <= 8)]
+            assume(sizes)
+            k = data.draw(st.sampled_from(sizes))
+            family = data.draw(st.lists(st.sampled_from(below), min_size=k,
+                                        max_size=k, unique=True))
+            faults.add(tuple(sorted(family)) + (b,))
+        holds = th.join_sum_family_holds
+
+        def faulty(E, fam, c):
+            return tuple(fam) + (c,) not in faults and holds(E, fam, c)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(th, "join_sum_family_holds", faulty)
+            mp.setattr(oracle_cubic_claims, "join_sum_family_holds", faulty)
+            got = th._join_sum_pairs(E)
+            assert got == join_sum_pairs(E)
+        # with several faults, the first in the scan's order is reported
+        assert not got[0] and got[1] in faults
+
+    def test_families_outside_the_orthosupplement_hold(self):
+        families = 0
+        for E in small_classes(8):
+            for b in E.elements():
+                inside = set(below_orth(E, b))
+                for k in (2, 3):
+                    for fam in combinations(E.elements(), k):
+                        if not inside.issuperset(fam):
+                            assert join_sum_family_holds(E, list(fam), b)
+                            families += 1
+        assert families
+
+    def test_hs200_within_bound(self):
+        E = product([HS, chain(3), chain(9)])
+        assert E.size == 200
+        t0 = time.perf_counter()
+        report = check(E, JOIN_SUM)
+        elapsed = time.perf_counter() - t0
+        assert report.hypotheses_met and report.conclusion_holds
+        # on a 2-core machine the cubic scan took 1.8-3.0 s and the scan
+        # inside [0, b'] takes about 0.3 s
+        assert elapsed < 1.5, f"{elapsed:.2f} s"

@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 FM_VARIABLE_CAP = 12
 _FM_ROW_CAP = 200_000

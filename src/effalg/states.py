@@ -55,7 +55,6 @@ from .errors import (
 )
 from .linsolve import ZERO, matrix_rank, row_reduce, solve_standard
 from .structure import (
-    compatibility_center,
     compatible,
     finite_elements,
     is_archimedean,
@@ -644,7 +643,7 @@ def state_via_exstate_procedure(E: FiniteEffectAlgebra) -> ExstateOutcome:
     n_a = element_order(E, a)
 
     checks = []
-    if a in compatibility_center(E):
+    if all(compatible(E, a, y) for y in E.elements()):
         branch = "central-atom"
     else:
         branch = "dichotomy"

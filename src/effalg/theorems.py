@@ -15,7 +15,6 @@ accounting honest.
 from __future__ import annotations
 
 import functools
-import random
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -58,8 +57,6 @@ __all__ = [
     "join_difference_family_holds",
     "join_sum_family_holds",
 ]
-
-DEFAULT_SEED = 20100108
 
 
 # -- hypothesis predicates -------------------------------------------------
@@ -694,16 +691,3 @@ def shrink_counterexample(E: FiniteEffectAlgebra,
         if report.failed():
             return sub
     return best
-
-
-def random_families(E: FiniteEffectAlgebra, count: int, seed: int = DEFAULT_SEED):
-    """Deterministic random families (size 2..5) for the distributivity laws."""
-    rng = random.Random(seed)
-    n = E.size
-    out = []
-    for _ in range(count):
-        k = rng.randint(2, 5)
-        fam = [rng.randrange(n) for _ in range(k)]
-        extra = rng.randrange(n)
-        out.append((fam, extra))
-    return out

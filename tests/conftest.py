@@ -4,6 +4,7 @@ The tables here are written out by hand, independently of the construct
 module, so they can serve as oracles for it.
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from effalg.core import FiniteEffectAlgebra
+
+DEFAULT_SEED = 20100108
 
 
 def algebra_from_sums(n, zero, one, sums, labels=None):
@@ -27,6 +30,19 @@ def algebra_from_sums(n, zero, one, sums, labels=None):
         size=n, zero=zero, one=one,
         sum=tuple(tuple(r) for r in table),
         labels=tuple(labels) if labels else None)
+
+
+def random_families(E: FiniteEffectAlgebra, count: int, seed: int = DEFAULT_SEED):
+    """Deterministic random families (size 2..5) for the distributivity laws."""
+    rng = random.Random(seed)
+    n = E.size
+    out = []
+    for _ in range(count):
+        k = rng.randint(2, 5)
+        fam = [rng.randrange(n) for _ in range(k)]
+        extra = rng.randrange(n)
+        out.append((fam, extra))
+    return out
 
 
 # B2: Boolean algebra {0, a, a', 1}, indices 0..3

@@ -21,6 +21,7 @@ from conftest import (
     make_c4,
     make_e5,
     make_hs2,
+    random_families,
 )
 from effalg.algfile import load_algebra
 from effalg.cli import main as cli_main
@@ -53,7 +54,6 @@ from effalg.theorems import (
     check,
     join_difference_family_holds,
     join_sum_family_holds,
-    random_families,
     sweep,
 )
 from oracle_naive import naive_classes

@@ -1,0 +1,50 @@
+"""scripts/bench.py: its fast rows keep their verdicts and digests."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from effalg import theorems
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lp_verdicts(bench):
+    for name, dim in (("boolean5", "dim 4"), ("p40", "dim 3")):
+        rows = list(bench.lp_rows(name))
+        assert [(r["call"], r["verdict"]) for r in rows] == [
+            ("find_state", "state"),
+            ("state_space_dimension", dim),
+            ("find_subadditive_state", "state")]
+        assert rows[1]["digest"] == "-"
+        assert rows[0]["digest"] != "-"
+
+
+def test_claim_digests(bench):
+    check = theorems.check
+    for name, verdict, digest in (("hs40", "20 of 20 hold", "93bae9fb12d7"),
+                                  ("stateless", "1 of 20 hold", "9837aa1e17d2")):
+        *claims, total = bench.claim_rows(name)
+        assert [r["call"] for r in claims] == list(theorems.CLAIM_IDS)
+        assert (total["call"], total["verdict"], total["digest"]) == (
+            "check_all", verdict, digest)
+    # the per-claim timer is removed once check_all returns
+    assert theorems.check is check
+
+
+def test_key_digest_and_json_output(bench, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "PLAN", (("keys", bench.chain_key_rows, (7,)),))
+    assert bench.main() == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["group"], row["instance"], row["size"], row["digest"]) == (
+        "keys", "7xchain2", 9, "6fecb5bea1a6")

@@ -33,7 +33,7 @@ from effalg.states import (
     state_via_exstate_procedure,
     verify_state,
 )
-from effalg.structure import center, compatible
+from effalg.structure import center, compatibility_center, compatible
 import oracle_full_tableau as full
 from oracle_fraction_certificate import fraction_multipliers
 from oracle_fraction_check import certificate_holds, state_violations
@@ -663,6 +663,26 @@ class TestExstateProcedure:
         for E in (e5, c4):
             state, _ = state_via_exstate_procedure(E)
             assert verify_state(E, state, require_subadditive=True) == []
+
+    def test_central_atom_branch_is_the_compatibility_center(self):
+        # the branch tests the atom's compatibilities directly; B(E), with
+        # its block search, is the reference
+        cases = [E for n in range(2, 10)
+                 for E in enumerate_algebras(EnumerationConfig(size=n))
+                 if derive_order(E).is_lattice]
+        cases += [product([HS, chain(3), chain(5)]),
+                  product([HS, chain(3), chain(9)]),
+                  product([HS, boolean_algebra(2), chain(3), chain(4)])]
+        branches = []
+        for E in cases:
+            try:
+                trace = state_via_exstate_procedure(E).trace
+            except HypothesisViolated:
+                continue
+            assert (trace.branch == "central-atom") == (
+                trace.atom in compatibility_center(E)), E.size
+            branches.append(trace.branch)
+        assert set(branches) == {"central-atom", "dichotomy"}
 
 
 class TestOracleAgreement:

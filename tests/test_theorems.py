@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import algebra_from_sums, make_c4
+from conftest import algebra_from_sums, make_c4, random_families
 from effalg import construct, core, structure
 from effalg import theorems as th
 from effalg.construct import chain, horizontal_sum, product
@@ -25,7 +25,6 @@ from effalg.theorems import (
     check_all,
     join_difference_family_holds,
     join_sum_family_holds,
-    random_families,
     shrink_counterexample,
     statement,
     sweep,

@@ -196,7 +196,8 @@ PLAN = (
     ("keys", frame_key_rows, (9,)),
     ("keys", chain_key_rows, (7, 8, 9)),
     ("cli", cli_rows, (("enumerate", "11", "--json"),
-                       ("enumerate", "11", "--json", "--jobs", "2"))),
+                       ("enumerate", "11", "--json", "--jobs", "2"),
+                       ("enumerate", "12", "--json"))),
 )
 
 

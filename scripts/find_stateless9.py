@@ -48,7 +48,11 @@ def main() -> int:
         return 3
     except BudgetExceeded as exc:
         if args.checkpoint:
-            write_checkpoint(args.checkpoint, exc.checkpoint)
+            try:
+                write_checkpoint(args.checkpoint, exc.checkpoint)
+            except CheckpointError as err:
+                print(f"checkpoint error: {err}")
+                return 3
             print(f"budget exhausted; checkpoint written to {args.checkpoint}")
         else:
             print("budget exhausted (no checkpoint path given)")

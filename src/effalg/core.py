@@ -108,6 +108,12 @@ class Violation:
 
 
 def _structural_problems(E: FiniteEffectAlgebra) -> list[Violation]:
+    """Ragged rows and out-of-range entries, cell by cell.
+
+    A row of n entries, each None or one of 0 .. n-1, has none, and one
+    set lookup per entry (in C) clears it; only a row that fails that, or
+    holds an entry that cannot be hashed, is walked cell by cell.
+    """
     out = []
     n = E.size
     if n < 2:
@@ -119,7 +125,13 @@ def _structural_problems(E: FiniteEffectAlgebra) -> list[Violation]:
     if len(E.sum) != n:
         out.append(Violation("structural", (len(E.sum),), f"table has {len(E.sum)} rows, expected {n}"))
         return out
+    entries = frozenset([None, *range(n)])
     for x, row in enumerate(E.sum):
+        try:
+            if len(row) == n and entries.issuperset(row):
+                continue
+        except TypeError:
+            pass
         if len(row) != n:
             out.append(Violation("structural", (x,), f"row {x} has {len(row)} entries, expected {n}"))
             continue

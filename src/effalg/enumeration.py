@@ -23,7 +23,7 @@ with a property is the least one that has it.
 
 The canonical key exported here uses the same frame-preserving minimum, so
 two algebras have equal keys iff they are isomorphic.  One routine,
-_min_key_search, computes the key and answers both canonicity tests.  The
+_key_search, computes the key and answers both canonicity tests.  The
 minimum does not depend on the frame layout the search starts from, so
 canonical_key lays the frame out by a cheap invariant, the number of
 undefined sums in each row (McKay & Piperno 2014).  The identity's key,
@@ -42,6 +42,21 @@ early inner node of a frame with many self-paired middles, where few cells
 are decided and most middles are still interchangeable.  A swap is tested
 on one row per transposition: it is an involution, so if it maps row a
 onto row b, it maps row b onto row a.
+
+Two shortcuts spare the search work whose outcome is already known, and
+neither changes a decision.  A middle candidate v for x+y is skipped
+without an assignment when a partner cell, y+v' or x+v', is decided and
+holds another value than the rule demands (x' or y'): assign would write
+the cell, recurse into the partner rule and fail there, since it never
+changes a decided cell.  The node is still counted, so budgets and
+checkpoints see the same nodes.  And each chunk keeps the placed prefix
+of the last relabeling that cut, its witness, and tries it first at the
+next column or leaf test: consecutive tests tend to be cut by the same
+relabeling.  The witness cuts only where an entry read from decided cells
+is strictly below the identity's after a run of ties, all before the
+identity's first open cell.  That relabeling then beats every completion,
+and the full search would find one too; every other case runs the full
+search.
 """
 
 from __future__ import annotations
@@ -247,6 +262,20 @@ class _Search:
         out.append(UNDEF)
         return out
 
+    def clashes(self, x, y, v) -> bool:
+        """Whether x+y=v contradicts a decided partner cell: y+v' decided
+        and not x', or x+v' decided and not y'.  assign(x, y, v) would fail
+        on that cell, since assign never changes a decided cell."""
+        if v < 0:
+            return False
+        T, n, orth = self.T, self.n, self.orth
+        ov = orth[v]
+        w = T[y * n + ov]
+        if w != UNKNOWN and w != orth[x]:
+            return True
+        w = T[x * n + ov]
+        return w != UNKNOWN and w != orth[y]
+
 
 @functools.cache
 def _key_cells(m: int):
@@ -312,13 +341,23 @@ def _twins(T, n, f):
 
 
 def _min_key_search(T, n, f, stop_below=False):
+    """Least key over frame-preserving relabelings, or with stop_below
+    whether any relabeling is strictly below the identity's key
+    (_key_search)."""
+    found = _key_search(T, n, f, stop_below)
+    return found is not None if stop_below else found
+
+
+def _key_search(T, n, f, stop_below):
     """Least key over frame-preserving relabelings.
 
     Relabelings permute the self-paired middles among positions 1..f and
     the orthosupplement pairs (as pairs, either orientation) among the
     remaining positions.  With stop_below set, the search answers the
-    yes/no question "is any relabeling strictly below the identity's key?"
-    and exits at the first hit; otherwise it returns the minimum key itself.
+    question "is any relabeling strictly below the identity's key?" and
+    exits at the first hit, returning the hit's placed prefix (the
+    elements at positions 1, 2, ...), or None when there is none;
+    otherwise it returns the minimum key itself.
 
     T may be partial (UNKNOWN cells) when stop_below is set.  Then only the
     identity's decided prefix, its key up to the first open cell, is
@@ -376,15 +415,16 @@ def _min_key_search(T, n, f, stop_below=False):
     fixed = list(range(1, f + 1))
     paired = list(range(f + 1, m + 1))
 
-    def descend(d, j) -> bool:
-        # the entries before j equal best's; True once a relabeling is found
-        # strictly below the identity (stop_below only).  Without stop_below
+    def descend(d, j):
+        # the entries before j equal best's; returns the placed prefix of a
+        # relabeling strictly below the identity once one is found
+        # (stop_below only), else None.  Without stop_below
         # a relabeling below best on a prefix lowers best to that prefix
         # followed by n + 2, above every entry; the relabeling's first
         # completion then fills best in, so best ends as the least key.
         nonlocal twins
         if d > m:
-            return False
+            return None
         if d <= f:
             cands, width = fixed, 1
         else:
@@ -428,19 +468,72 @@ def _min_key_search(T, n, f, stop_below=False):
                         best[k + 1:] = [n + 2] * (size - k - 1)
                     best[k] = enc
                     k += 1
-            descended = descended or k >= 0
-            hit = k == -2 or k >= 0 and descend(nxt, k)
+            if k == -2:
+                return inv[1:nxt]
+            if k >= 0:
+                descended = True
+                hit = descend(nxt, k)
+                if hit:
+                    return hit
             pos[e] = pos[orth[e]] = 0
-            if hit:
-                return True
-        return False
+        return None
 
     found = descend(1, 0)
     return found if stop_below else tuple(best)
 
 
-def _is_canonical(T, n, f) -> bool:
-    return not _min_key_search(T, n, f, stop_below=True)
+def _witness_cuts(T, n, witness) -> bool:
+    """Whether the partial relabeling witness, the elements it places at
+    positions 1, 2, ..., beats the identity on T's decided key prefix.
+
+    This is _key_search's comparison for one relabeling: the entries of
+    the placed columns are read in key order, and the first that differs
+    decides.  Only an entry strictly below the identity's, both read from
+    decided cells before the identity's first open cell, cuts.  A
+    relabeled entry read from an open cell, or whose sum has no position
+    yet, concludes nothing, and neither do ties to the end.
+    """
+    pos = [0] * n + [n + 1, n]   # as in _key_search
+    pos[n - 1] = n - 1
+    for p, e in enumerate(witness, 1):
+        pos[e] = p
+    cells = _key_cells(n - 2)
+    w = len(witness)
+    for k in range(w * (w + 1) // 2):
+        i, d = cells[k]
+        b = T[i * n + d]
+        if b == UNKNOWN:
+            return False   # the identity's first open cell
+        if b == UNDEF:
+            b = n
+        enc = pos[T[witness[i - 1] * n + witness[d - 1]]]
+        if enc != b:
+            return 0 < enc < b
+    return False
+
+
+def _beaten(T, n, f, witness: list) -> bool:
+    """Whether a frame-preserving relabeling beats the identity on T's
+    decided key prefix: the column test on a partial T, the leaf test on
+    a complete one.
+
+    witness holds the placed prefix of the last relabeling that did.  It
+    is tried first, and the full search runs only when it does not cut;
+    a hit of the full search becomes the witness.  The answer is the full
+    search's either way: a prefix that cuts extends to a relabeling that
+    the full search would find below the identity.
+    """
+    if _witness_cuts(T, n, witness):
+        return True
+    found = _key_search(T, n, f, True)
+    if found is None:
+        return False
+    witness[:] = found
+    return True
+
+
+def _is_canonical(T, n, f, witness) -> bool:
+    return not _beaten(T, n, f, witness)
 
 
 def _table_to_algebra(T, n) -> FiniteEffectAlgebra:
@@ -584,12 +677,13 @@ def _run_chunk(n, f, prefix, budget: _Budget):
         assert ok, "prefix replay diverged"
     found = []
     start = (prefix[-1][0] + 1) if prefix else 0
+    witness = []   # the last cutting relabeling's placed prefix (_beaten)
 
     def dfs(start, column):
         k = _next_open(search, start)
         T = search.T
         if k < 0:
-            if _is_canonical(T, n, f):
+            if _is_canonical(T, n, f, witness):
                 E = _table_to_algebra(T, n)
                 bad = validate(E)
                 if bad:
@@ -600,10 +694,13 @@ def _run_chunk(n, f, prefix, budget: _Budget):
         x, y = search.cells[k]
         # a new column: if a relabeling beats the decided prefix of the key,
         # it beats every completion, so none of them is canonical
-        if y != column and _min_key_search(T, n, f, stop_below=True):
+        if y != column and _beaten(T, n, f, witness):
             return
         for v in search.candidates(x, y):
             budget.spend()
+            # assign would fail on the decided partner cell
+            if search.clashes(x, y, v):
+                continue
             mark = len(search.trail)
             if search.assign(x, y, v):
                 dfs(k + 1, y)
@@ -742,8 +839,12 @@ def read_checkpoint(path) -> dict | None:
 
 
 def write_checkpoint(path, checkpoint: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint, fh)
+    """Store checkpoint at path as JSON; CheckpointError when it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(checkpoint, fh)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
 
 
 def _is_count(v) -> bool:

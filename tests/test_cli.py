@@ -339,6 +339,16 @@ class TestCheckpoints:
         self.assert_rejected("enumerate", "8", "--find-stateless",
                              "--checkpoint", cp)
 
+    @pytest.mark.parametrize("mode", [(), ("--find-stateless",)])
+    def test_unwritable_checkpoint(self, tmp_path, mode):
+        cp = str(tmp_path / "missing" / "cp.json")
+        argv = ("enumerate", "5", *mode, "--budget-nodes", "1", "--checkpoint", cp)
+        self.assert_rejected(*argv)
+        code, out = run_cli(*argv, "--json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["command"] == "enumerate" and cp in data["error"]
+
     def test_json_error_line(self, tmp_path):
         cp = tmp_path / "cp.json"
         cp.write_text("[]")

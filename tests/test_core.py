@@ -11,6 +11,7 @@ from effalg.algfile import load_algebra
 from effalg.construct import boolean_algebra, product
 from effalg.core import (
     FiniteEffectAlgebra,
+    _structural_problems,
     derive_order,
     difference,
     element_order,
@@ -19,6 +20,7 @@ from effalg.core import (
     validate,
 )
 from effalg.errors import NotBelow, StructuralError, UndefinedSum, ZeroElement
+from oracle_cubic_validate import _structural_problems as oracle_structural_problems
 from oracle_cubic_validate import validate as cubic_validate
 
 
@@ -129,6 +131,44 @@ class TestValidate:
                             assert report == cubic_validate(broken), (E, x, y, v)
                             damaged += report != []
         assert damaged
+
+    @pytest.mark.parametrize("damage", [
+        lambda t: t[2].pop(),                          # a short row
+        lambda t: t[1].append(None),                   # a long row
+        lambda t: (t[0].pop(), t[3].append(2)),        # two ragged rows
+        lambda t: t[1].__setitem__(2, 4),              # out of range
+        lambda t: t[3].__setitem__(0, -1),             # negative
+        lambda t: t[2].__setitem__(2, 1.5),            # a float between labels
+        lambda t: t[2].__setitem__(1, 3.0),            # a float equal to a label
+        lambda t: t[1].__setitem__(1, True),           # a bool equal to a label
+        lambda t: (t[1].__setitem__(3, 7), t[2].pop()),
+    ])
+    def test_structural_report_matches_the_cell_loop(self, damage):
+        E = make_b2()
+        table = [list(r) for r in E.sum]
+        damage(table)
+        broken = FiniteEffectAlgebra(4, 0, 3, tuple(tuple(r) for r in table))
+        report = _structural_problems(broken)
+        assert report == oracle_structural_problems(broken)
+        if report:
+            assert validate(broken) == cubic_validate(broken) == report
+
+    def test_label_count_mismatch_matches_the_cell_loop(self):
+        for labels, row in [(("0", "a", "b"), [0, 1, 2, 3]),
+                            (("0", "a", "b", "1", "c"), [0, 1, 2, 9])]:
+            E = make_b2()
+            broken = FiniteEffectAlgebra(4, 0, 3, (tuple(row),) + E.sum[1:],
+                                         labels)
+            assert validate(broken) == cubic_validate(broken) != []
+
+    def test_unhashable_entry_fails_as_in_the_cell_loop(self):
+        E = make_b2()
+        broken = FiniteEffectAlgebra(4, 0, 3, (E.sum[0], (1, [2], 3, None))
+                                     + E.sum[2:])
+        with pytest.raises(TypeError):
+            oracle_structural_problems(broken)
+        with pytest.raises(TypeError):
+            _structural_problems(broken)
 
     def test_512_element_product_within_one_second(self):
         E = product([boolean_algebra(3)] * 3)

@@ -1,5 +1,6 @@
 """Isomorph-free generation: counts, canonical keys, budgets, parallelism."""
 
+import copy
 import json
 import random
 import time
@@ -22,6 +23,7 @@ from effalg.enumeration import (
     _run_chunk,
     _Search,
     _twins,
+    _witness_cuts,
     canonical_key,
     enumerate_algebras,
     find_stateless,
@@ -45,6 +47,22 @@ def enumerate_size(n, **kw):
     return list(enumerate_algebras(EnumerationConfig(size=n, **kw)))
 
 
+def record_canonicity_tests(monkeypatch, sizes):
+    """(T, n, f) of every column test and leaf test that enumerating these
+    sizes makes, in order, and the classes enumerated."""
+    tables = []
+    beaten = enumeration._beaten
+
+    def recorded(T, n, f, witness):
+        tables.append((T[:], n, f))
+        return beaten(T, n, f, witness)
+
+    monkeypatch.setattr(enumeration, "_beaten", recorded)
+    classes = [E for n in sizes for E in enumerate_size(n)]
+    monkeypatch.undo()
+    return tables, classes
+
+
 class TestCounts:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_regression_counts(self, n):
@@ -61,6 +79,9 @@ class TestCounts:
         assert len(enumerate_size(9, node_budget=5493)) == KNOWN_COUNTS[9]
         with pytest.raises(BudgetExceeded):
             enumerate_size(9, node_budget=5492)
+        assert len(enumerate_size(10, node_budget=23925)) == 172
+        with pytest.raises(BudgetExceeded):
+            enumerate_size(10, node_budget=23924)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_naive_oracle(self, n):
@@ -250,34 +271,21 @@ class TestTwinSkip:
     def test_twins_match_a_full_table_oracle(self, monkeypatch):
         # keys alone cannot catch a wrong twin list, so each list is
         # compared with the oracle's on every table, complete or partial,
-        # that the search meets while enumerating sizes 2..8
-        tables = []
-
-        def recorded(T, n, f, stop_below=False):
-            tables.append((T[:], n, f))
-            return _min_key_search(T, n, f, stop_below)
-
-        monkeypatch.setattr(enumeration, "_min_key_search", recorded)
-        for n in range(2, 9):
-            enumerate_size(n)
+        # that the search meets while enumerating sizes 2..8: one per
+        # column test and one per leaf test
+        tables, _ = record_canonicity_tests(monkeypatch, range(2, 9))
+        assert len(tables) == 457
         partial = sum(UNKNOWN in T for T, _, _ in tables)
         assert 0 < partial < len(tables)
         for T, n, f in tables:
             assert [sorted(t) for t in _twins(T, n, f)] == twin_lists(T, n, f)
 
     def test_lazy_twin_scan_matches_the_eager_search(self, monkeypatch):
-        # every min-key call that enumerating size 9 makes, complete and
-        # partial tables alike, replayed against the search that scans for
-        # twins up front; then the keys of the 60 classes
-        calls = []
-
-        def recorded(T, n, f, stop_below=False):
-            calls.append((T[:], n, f, stop_below))
-            return _min_key_search(T, n, f, stop_below)
-
-        monkeypatch.setattr(enumeration, "_min_key_search", recorded)
-        classes = enumerate_size(9)
-        monkeypatch.undo()
+        # every column and leaf test that enumerating size 9 makes,
+        # complete and partial tables alike, replayed against the search
+        # that scans for twins up front; then the keys of the 60 classes
+        calls, classes = record_canonicity_tests(monkeypatch, [9])
+        assert len(calls) == 584
         assert len(classes) == 60
         scans = []
 
@@ -286,9 +294,9 @@ class TestTwinSkip:
             return _twins(T, n, f)
 
         monkeypatch.setattr(enumeration, "_twins", counted)
-        for T, n, f, stop_below in calls:
-            assert (_min_key_search(T, n, f, stop_below)
-                    == eager_min_key_search(T, n, f, stop_below))
+        for T, n, f in calls:
+            assert (_min_key_search(T, n, f, True)
+                    == eager_min_key_search(T, n, f, True))
         # some searches find their hit before a scan is needed
         assert 0 < len(scans) < len(calls)
         keys = [canonical_key(E) for E in classes]
@@ -306,6 +314,85 @@ class TestTwinSkip:
         elapsed = time.perf_counter() - start
         assert classes == {8: 3, 10: 1}
         assert elapsed < 0.5, elapsed
+
+
+class TestOrderlyShortcuts:
+    """The partner-cell filter and the cut witness change no decision of
+    the search they shortcut."""
+
+    def test_witness_cuts_only_where_the_full_search_does(self, monkeypatch):
+        # every column and leaf test of sizes 2..9, and every witness check
+        # made inside them, against the eager min-key search
+        checks, tests = [], []
+        witness_cuts, beaten = enumeration._witness_cuts, enumeration._beaten
+
+        def recorded_check(T, n, witness):
+            cut = witness_cuts(T, n, witness)
+            checks.append((T[:], n, cut))
+            return cut
+
+        def recorded_test(T, n, f, witness):
+            cut = beaten(T, n, f, witness)
+            tests.append((T[:], n, f, cut))
+            return cut
+
+        monkeypatch.setattr(enumeration, "_witness_cuts", recorded_check)
+        monkeypatch.setattr(enumeration, "_beaten", recorded_test)
+        for n in range(2, 10):
+            enumerate_size(n)
+        monkeypatch.undo()
+        # _beaten makes one witness check per test
+        assert len(checks) == len(tests)
+        cuts = 0
+        for (T, n, cut), (_, _, f, _) in zip(checks, tests):
+            if cut:
+                cuts += 1
+                assert eager_min_key_search(T, n, f, True)
+        # the witness decides some tests, and some cuts need the full search
+        assert 0 < cuts < sum(cut for *_, cut in tests)
+        for T, n, f, cut in tests:
+            assert cut == eager_min_key_search(T, n, f, True)
+
+    def test_witness_cuts_only_below_on_decided_cells(self):
+        # size 6 with the pairs 1, 2 and 3, 4; the witness puts the pair 3, 4
+        # at positions 1, 2, so it reads 3+3, 3+4, 4+4 where the identity
+        # reads 1+1, 1+2, 2+2.  An entry is the sum's position, 6 where it
+        # is undefined; 1+2 = 3+4 = 5 is fixed by the frame.
+        n, f = 6, 0
+        T = _Search(n, f).T
+
+        def put(x, y, v):
+            T[x * n + y] = T[y * n + x] = v
+
+        put(1, 1, UNDEF)
+        put(2, 2, UNDEF)
+        put(4, 4, 3)      # position 1, below the identity's 6
+        assert not _witness_cuts(T, n, [3, 4])   # 3+3 is open
+        put(3, 3, UNDEF)
+        assert _witness_cuts(T, n, [3, 4])       # two ties, then below
+        assert not _witness_cuts(T, n, [1, 2])   # the identity ties
+        put(4, 4, 1)
+        assert not _witness_cuts(T, n, [3, 4])   # 1 has no position yet
+        put(1, 1, UNKNOWN)
+        put(3, 3, 4)
+        # the identity's 1+1 is open: no entry from there on is compared
+        assert not _witness_cuts(T, n, [3, 4])
+
+    def test_filter_skips_only_candidates_assign_rejects(self, monkeypatch):
+        skipped = []
+        clashes = _Search.clashes
+
+        def checked(search, x, y, v):
+            clash = clashes(search, x, y, v)
+            if clash:
+                skipped.append(v)
+                assert copy.deepcopy(search).assign(x, y, v) is False
+            return clash
+
+        monkeypatch.setattr(_Search, "clashes", checked)
+        for n in range(2, 9):
+            assert len(enumerate_size(n)) == KNOWN_COUNTS[n]
+        assert skipped
 
 
 class TestBudgets:

@@ -146,8 +146,8 @@ def _structural_problems(E: FiniteEffectAlgebra) -> list[Violation]:
 def validate(E: FiniteEffectAlgebra) -> list[Violation]:
     """Check every axiom and report ALL violations (empty list iff valid).
 
-    Structural defects (ragged table, out-of-range index) short-circuit the
-    axiom checks, since the table cannot be interpreted.
+    Structural defects (ragged table, out-of-range or non-integer index)
+    short-circuit the axiom checks, since the table cannot be interpreted.
 
     Validity is decided first by a pass whose associativity work is the
     number of defined sums (x + y) + z, not n^3 (_axioms_hold).  Only a
@@ -158,9 +158,28 @@ def validate(E: FiniteEffectAlgebra) -> list[Violation]:
     problems = _structural_problems(E)
     if problems:
         return problems
-    if _axioms_hold(E):
-        return []
-    return _violations(E)
+    try:
+        if _axioms_hold(E):
+            return []
+    except TypeError:   # a non-integer index, reported below
+        pass
+    return _non_integers(E) or _violations(E)
+
+
+def _non_integers(E: FiniteEffectAlgebra) -> list[Violation]:
+    """Indices that are not integers, such as 3.0: they hash and compare
+    like the integer, so _structural_problems lets them through, but they
+    cannot index a row.  A walk over every cell, run only on a table that
+    fails the fast pass."""
+    out = [Violation("structural", (v,), f"{name} index {v} is not an integer")
+           for name, v in (("zero", E.zero), ("one", E.one))
+           if not isinstance(v, int)]
+    for x, row in enumerate(E.sum):
+        for y, v in enumerate(row):
+            if v is not None and not isinstance(v, int):
+                out.append(Violation("structural", (x, y, v),
+                                     f"sum[{x}][{y}] = {v} is not an integer"))
+    return out
 
 
 def _axioms_hold(E: FiniteEffectAlgebra) -> bool:
@@ -183,6 +202,11 @@ def _axioms_hold(E: FiniteEffectAlgebra) -> bool:
     n, zero, one = E.size, E.zero, E.one
     rows = E.sum
     if zero == one or tuple(rows[zero]) != tuple(range(n)):
+        return False
+    # zero's row and column are the only entries not used as an index below,
+    # where a non-integer one raises TypeError
+    if not (all(isinstance(v, int) for v in rows[zero])
+            and all(isinstance(row[zero], int) for row in rows)):
         return False
     # defined[x]: the pairs (y, x + y) with y != zero and x + y defined
     defined = [[(y, s) for y, s in enumerate(row) if s is not None and y != zero]

@@ -892,17 +892,17 @@ class StatelessSearch:
 
 
 def find_stateless(max_n: int, node_budget=None, time_budget=None, jobs=1,
-                   checkpoint=None, progress=None) -> StatelessSearch:
+                   checkpoint=None) -> StatelessSearch:
     """Scan sizes 2..max_n for an algebra admitting no state.
 
     Returns the canonically first stateless instance of the smallest size
     that has one: enumeration meets the classes in ascending canonical_key,
-    so that is the first one met.  The rest of that size is still scanned,
-    so that `checked` counts all of its classes.  The node and time budgets
-    bound the whole scan, all sizes and workers together.  BudgetExceeded
-    carries a checkpoint (the size reached, its chunks done, the classes
-    checked and the stateless instance already met at that size, if any)
-    that can be passed back in to resume.
+    so that is the first one met.  The rest of that size is still generated,
+    with no state test, so that `checked` counts all of its classes.  The
+    node and time budgets bound the whole scan, all sizes and workers
+    together.  BudgetExceeded carries a checkpoint (the size reached, its
+    chunks done, the classes checked and the stateless instance already met
+    at that size, if any) that can be passed back in to resume.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     budget = _Budget(node_budget, deadline)
@@ -921,11 +921,8 @@ def find_stateless(max_n: int, node_budget=None, time_budget=None, jobs=1,
         try:
             for E in _generate(EnumerationConfig(size=n, jobs=jobs), budget, done):
                 checked += 1
-                if not isinstance(find_state(E), StateVector):
-                    if found is None:
-                        found = E
-                    if progress is not None:
-                        progress(E)
+                if found is None and not isinstance(find_state(E), StateVector):
+                    found = E
         except _Cut as cut:
             cp = {
                 "version": CHECKPOINT_VERSION,

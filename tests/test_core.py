@@ -153,6 +153,30 @@ class TestValidate:
         if report:
             assert validate(broken) == cubic_validate(broken) == report
 
+    @pytest.mark.parametrize("cells, value", [
+        ([(1, 2), (2, 1)], 1.5),   # 1 + 2, both orientations
+        ([(1, 2), (2, 1)], 3.0),   # equal to 1 + 2
+        ([(0, 1), (1, 0)], 1.0),   # equal to 0 + 1, in zero's row and
+        ([(2, 0)], 2.0),           # column, never used as an index
+    ])
+    def test_float_sum_is_structural(self, cells, value):
+        E = boolean_algebra(2)
+        table = [list(r) for r in E.sum]
+        for x, y in cells:
+            table[x][y] = value
+        broken = FiniteEffectAlgebra(4, 0, 3, tuple(tuple(r) for r in table))
+        report = validate(broken)
+        assert [(v.kind, v.witness) for v in report] == [
+            ("structural", (x, y, value)) for x, y in cells]
+        assert f"= {value} is not an integer" in report[0].message
+
+    @pytest.mark.parametrize("zero, one", [(0.0, 3), (0, 3.0)])
+    def test_float_zero_or_one_is_structural(self, zero, one):
+        broken = FiniteEffectAlgebra(4, zero, one, boolean_algebra(2).sum)
+        bad = zero if isinstance(zero, float) else one
+        assert [(v.kind, v.witness) for v in validate(broken)] == [
+            ("structural", (bad,))]
+
     def test_label_count_mismatch_matches_the_cell_loop(self):
         for labels, row in [(("0", "a", "b"), [0, 1, 2, 3]),
                             (("0", "a", "b", "1", "c"), [0, 1, 2, 9])]:

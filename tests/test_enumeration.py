@@ -4,11 +4,13 @@ import copy
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import make_b2, make_c4, make_e5
 from effalg import enumeration
+from effalg.algfile import load_algebra
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.core import FiniteEffectAlgebra, derive_order, validate
 from effalg.enumeration import (
@@ -41,6 +43,15 @@ from oracle_twins import twin_lists
 # class counts per size, frozen after the first computation and cross-checked
 # against the naive oracle for sizes up to 5
 KNOWN_COUNTS = {2: 1, 3: 1, 4: 3, 5: 4, 6: 10, 7: 14, 8: 40, 9: 60}
+
+# the classes each filter keeps, sizes 2..9
+FILTERED_COUNTS = {
+    "lattice_only": (1, 1, 3, 4, 9, 12, 25, 34),
+    "modular_only": (1, 1, 3, 3, 5, 4, 8, 6),
+    "unsharp_only": (0, 1, 2, 4, 9, 14, 38, 60),
+}
+
+STATELESS9 = Path(__file__).parent / "fixtures" / "stateless9.alg"
 
 
 def enumerate_size(n, **kw):
@@ -117,6 +128,20 @@ class TestOrbitCount:
 
 
 class TestFilters:
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("flag", FILTERED_COUNTS)
+    def test_filtered_counts(self, flag, n):
+        assert len(enumerate_size(n, **{flag: True})) == FILTERED_COUNTS[flag][n - 2]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_stateless_classes(self, n):
+        # every class up to size 8 carries a state; at size 9 exactly one
+        # does not, the stored fixture
+        stateless = [canonical_key(E) for E in enumerate_size(n)
+                     if not isinstance(find_state(E), StateVector)]
+        expected = [canonical_key(load_algebra(STATELESS9))] if n == 9 else []
+        assert stateless == expected
+
     def test_lattice_filter(self):
         all6 = enumerate_size(6)
         lat6 = enumerate_size(6, lattice_only=True)
@@ -465,10 +490,7 @@ class TestFindStateless:
         assert not fm_feasible(state_system(res.found))
 
     def test_matches_stored_fixture(self):
-        from pathlib import Path
-
-        from effalg.algfile import load_algebra
-        fixture = load_algebra(Path(__file__).parent / "fixtures" / "stateless9.alg")
+        fixture = load_algebra(STATELESS9)
         res = find_stateless(9)
         assert canonical_key(fixture) == canonical_key(res.found)
 

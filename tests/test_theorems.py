@@ -165,6 +165,18 @@ class TestCheckAll:
                                      statement("sharp.hat_formula"), True,
                                      hypotheses, True, None)
 
+    def test_sharp_hat_fails_where_the_scan_disagrees(self, monkeypatch):
+        E = product([horizontal_sum([chain(2)] * 3), chain(2)])
+        scan = structure.smallest_sharp_over
+        x = 3   # nonzero, so its smallest sharp upper bound is not zero
+        assert scan(E, x) != E.zero
+        monkeypatch.setattr(structure, "smallest_sharp_over",
+                            lambda A, y: A.zero if y == x else scan(A, y))
+        report = check(E, "sharp.hat_formula")
+        assert report.hypotheses_met and not report.conclusion_holds
+        assert report.witness[0] == x
+        assert "InternalCheckFailed" in report.witness[1]
+
     def test_central_split_builds_no_product(self):
         E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
         watched = {construct.product.__code__, structure.center.__code__,

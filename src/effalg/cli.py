@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract:
   0 success, 2 invalid algebra, 3 unreadable or ill-formed file
-  (algebra or checkpoint), 4 no state exists,
+  (algebra or checkpoint) or a checkpoint or --dot path that cannot be
+  written, 4 no state exists,
   5 procedure hypotheses fail, 6 budget exhausted, 7 claim failure.
 All machine-readable output is JSON with exact fractions as strings;
 no decimals, no timestamps, byte-stable across runs.
@@ -167,15 +168,20 @@ def cmd_analyze(args) -> int:
         lines += ["  " + " ".join(b.labels()) for b in blist]
         lines.append("compatibility center: " + " ".join(data["compatibility_center"]))
         lines.append("center: " + " ".join(data["center"]))
-    _emit(data, args.json, lines)
 
-    if args.dot is not None:
-        text = _dot(E)
-        if args.dot == "-":
-            sys.stdout.write(text)
-        else:
+    if args.dot not in (None, "-"):
+        # written first, so that a path that cannot be written prints only
+        # its error
+        try:
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(_dot(E))
+        except OSError as exc:
+            _emit({"command": "analyze", "error": str(exc)}, args.json,
+                  [f"error: {exc}"])
+            return EXIT_PARSE
+    _emit(data, args.json, lines)
+    if args.dot == "-":
+        sys.stdout.write(_dot(E))
     return EXIT_OK
 
 

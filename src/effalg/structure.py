@@ -217,21 +217,23 @@ def _max_cliques(adj: tuple[int, ...], n: int) -> list[int]:
 def blocks(E: FiniteEffectAlgebra) -> list[ElementSubset]:
     """Maximal sets of pairwise compatible elements, canonically ordered.
 
-    On a lattice instance every block is checked to be a sub-lattice
-    effect algebra, and the blocks must cover E.
+    The blocks must cover E.  On a lattice instance every block is checked
+    to be a sub-lattice effect algebra, which only a lattice guarantees.
     """
     adj = compatibility_adjacency(E)
     cliques = _max_cliques(adj, E.size)
     cliques.sort(key=lambda m: tuple(bits(m)))
     subs = [ElementSubset(E, m) for m in cliques]
 
+    lattice = derive_order(E).is_lattice
     covered = 0
     for sub in subs:
         covered |= sub.mask
-        ok = is_sub_effect_algebra(sub)
-        if not ok:
-            raise InternalCheckFailed(f"block not a sub-effect algebra: {ok.witness}")
-        if derive_order(E).is_lattice:
+        if lattice:
+            ok = is_sub_effect_algebra(sub)
+            if not ok:
+                raise InternalCheckFailed(
+                    f"block not a sub-effect algebra: {ok.witness}")
             ok = is_sub_lattice(sub)
             if not ok:
                 raise InternalCheckFailed(f"block not a sub-lattice: {ok.witness}")

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .construct import central_split, interval
-from .core import FiniteEffectAlgebra, bits, derive_order, difference, validate
+from .core import (FiniteEffectAlgebra, bits, derive_order, difference,
+                   element_order, validate)
 from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
-                     UnknownClaim)
+                     StructuralError, UnknownClaim)
 from .states import StateVector, find_subadditive_state, lift_failed, lift_state
 from .structure import (
     _saturated_hat,
@@ -83,9 +84,8 @@ def _compact_set(E):
 #   read through it;
 # - its subadditive LP, solved for modular.measure,
 #   state.from_central_element (at c = 1) and state.exists_unsharp_modular;
-# - each interval [0, z] with z != 1, built and validated by construct.interval;
-# - its qualifying central elements, read by both the hypothesis and the
-#   conclusion of state.from_central_element.
+# - its qualifying central elements c, each with [0, c] built for c != 1,
+#   read by the hypothesis and the conclusion of state.from_central_element.
 # A new instance replaces the old one's results, and nothing outlives the
 # outermost check, check_all or sweep call.
 _PER_INSTANCE: ContextVar[list | None] = ContextVar("_PER_INSTANCE", default=None)
@@ -127,26 +127,19 @@ def _subadditive_state(E):
 
 
 @_once_per_instance
-def _lower_interval(E, z):
-    """[0, z] as an algebra; [0, 1] is E itself."""
-    return E if z == E.one else interval(E, E.zero, z)
-
-
-@_once_per_instance
 def _qualifying_centrals(E):
-    """The nonzero central elements c with [0, c] a modular lattice."""
+    """(c, [0, c]) for each nonzero central c with [0, c] a modular lattice."""
     F = finite_elements(E)
     out = []
     for c in center_by_identity(E):
         if c == E.zero or c not in F:
             continue
-        sub = _lower_interval(E, c)
+        sub = E if c == E.one else interval(E, E.zero, c)
         if not derive_order(sub).is_lattice:
             continue
         # [0, 1] is E itself, whose modularity the hypotheses share
-        modular = _holds(E, is_modular) if sub is E else is_modular(sub)
-        if modular:
-            out.append(c)
+        if _holds(E, is_modular) if sub is E else is_modular(sub):
+            out.append((c, sub))
     return tuple(out)
 
 
@@ -175,12 +168,16 @@ def _finite_downward(E):
 
 
 def _finite_interval_complete(E):
-    F = finite_elements(E)
-    for x in F:
-        if x == E.zero:
-            continue
-        if not derive_order(_lower_interval(E, x)).is_lattice:
-            return False, (x,)
+    # [0, x] is E's order on down[x], a lattice when the join and meet of
+    # each pair below x lie below x: collect the x where one does not
+    order = derive_order(E)
+    up, join, meet = order.up, order.join, order.meet
+    bad = 0
+    for a in E.elements():
+        for b in range(a + 1, E.size):
+            bad |= up[a] & up[b] & ~(up[join[a][b]] & up[meet[a][b]])
+    for x in bits(bad & finite_elements(E).mask & ~(1 << E.zero)):
+        return False, (x,)
     return True, None
 
 
@@ -286,15 +283,16 @@ def _join_sum_pairs(E):
 
 def _atomic_below_joins(E, mask):
     """Every nonzero z that is the join of the elements of mask below it
-    has an atomic interval [0, z]; witness (z,).  Lattice instances only."""
+    has an atomic interval [0, z]; witness (z,).  Lattice instances only.
+    [0, z] is E's order on down[z], with E's atoms below z as its atoms."""
     order = derive_order(E)
+    bare = sum(1 << x for x in E.elements()  # nonzero and above no atom
+               if x != E.zero and not order.down[x] & order.atom_mask)
     for z in E.elements():
         j = E.zero
         for d in bits(order.down[z] & mask):
             j = order.join[j][d]
-        if j != z or z == E.zero:
-            continue  # hypothesis of the claim fails at this z
-        if not is_atomic(_lower_interval(E, z)):
+        if j == z != E.zero and order.down[z] & bare:
             return False, (z,)
     return True, None
 
@@ -303,21 +301,24 @@ def _atomic_from_finite_joins(E):
     return _atomic_below_joins(E, finite_elements(E).mask)
 
 
-def _block_algebra(E, blk) -> FiniteEffectAlgebra:
-    members = blk.members()
-    pos = {x: i for i, x in enumerate(members)}
-    table = tuple(
-        tuple(pos[E.sum[x][y]] if E.sum[x][y] is not None else None
-              for y in members)
-        for x in members)
-    return FiniteEffectAlgebra(
-        size=len(members), zero=pos[E.zero], one=pos[E.one], sum=table)
-
-
 def _h_some_block_archimedean_atomic(E):
-    """At least one block, viewed as an algebra, is Archimedean and atomic."""
-    return any(is_archimedean(B) and is_atomic(B)
-               for B in (_block_algebra(E, blk) for blk in blocks(E)))
+    """At least one block is Archimedean and atomic.  A block of a lattice
+    instance is a sub-effect algebra with E's order (Riecanova 2000): its
+    multiples are E's, and its atoms are its minimal nonzero members."""
+    order = derive_order(E)
+    endless = 0  # the nonzero elements whose multiples cycle
+    for x in E.elements():
+        try:
+            if x != E.zero:
+                element_order(E, x)
+        except StructuralError:
+            endless |= 1 << x
+    for blk in blocks(E):
+        m = blk.mask & ~(1 << E.zero)
+        atoms = sum(1 << b for b in bits(m) if order.down[b] & m == 1 << b)
+        if not m & endless and all(order.down[b] & atoms for b in bits(m)):
+            return True
+    return False
 
 
 def _sharp_is_atomic_oml(E):
@@ -391,12 +392,11 @@ def _modular_measure(E):
 
 
 def _state_from_central(E):
-    # the hypothesis has built [0, c] and found it a modular lattice, so
-    # the lift takes it from there
-    for c in _qualifying_centrals(E):
+    # the hypothesis built each [0, c] and found it a modular lattice
+    for c, sub in _qualifying_centrals(E):
         try:
             if c != E.one:
-                lift_state(E, c, _lower_interval(E, c), central_split(E, c))
+                lift_state(E, c, sub, central_split(E, c))
             elif not isinstance(_subadditive_state(E), StateVector):
                 # [0, 1] is E and the lift through 1 is the identity, so
                 # the lifted state is E's own, solved once with the others
@@ -604,8 +604,8 @@ def check_all(E: FiniteEffectAlgebra) -> list[ClaimReport]:
     """Every registered claim, in stable registry order.
 
     The claims share each hypothesis verdict, one solve of the instance's
-    subadditive LP and one build of each interval [0, z] (see
-    _PER_INSTANCE).
+    subadditive LP and one build of [0, c] for each qualifying central
+    c != 1 (see _PER_INSTANCE).
     """
     bad = validate(E)
     if bad:
@@ -633,8 +633,8 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     The config's time budget bounds the claim checks too: the deadline is
     read after each instance, and BudgetExceeded (with no checkpoint) ends
     a sweep that has passed it.  The claims share each hypothesis verdict,
-    one solve of each instance's subadditive LP and one build of each
-    interval [0, z].
+    one solve of each instance's subadditive LP and one build of [0, c]
+    for each qualifying central c != 1.
     """
     from .enumeration import enumerate_algebras
 

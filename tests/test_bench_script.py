@@ -33,6 +33,7 @@ def test_lp_verdicts(bench):
 def test_claim_digests(bench):
     check = theorems.check
     for name, verdict, digest in (("hs40", "20 of 20 hold", "93bae9fb12d7"),
+                                  ("hs120", "20 of 20 hold", "93bae9fb12d7"),
                                   ("stateless", "1 of 20 hold", "9837aa1e17d2")):
         *claims, total = bench.claim_rows(name)
         assert [r["call"] for r in claims] == list(theorems.CLAIM_IDS)

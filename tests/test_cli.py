@@ -185,6 +185,25 @@ class TestAnalyzeCommand:
         assert dot.count("->") == 3  # the 4-chain cover graph is a path
         assert "peripheries=2" in dot  # sharp endpoints marked
 
+    @pytest.mark.parametrize("dot", ["dir", "missing"])
+    def test_unwritable_dot_path_exits_3(self, tmp_path, dot):
+        target = str(tmp_path if dot == "dir" else tmp_path / "no" / "x.dot")
+        alg = str(FIXTURES / "stateless9.alg")
+        code, out = run_cli("analyze", alg, "--dot", target)
+        assert code == 3
+        assert out.startswith("error: ") and out.count("\n") == 1
+        code, out = run_cli("analyze", alg, "--dot", target, "--json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["command"] == "analyze" and target in data["error"]
+
+    def test_dot_file_written(self, tmp_path):
+        path = tmp_path / "hasse.dot"
+        code, out = run_cli("analyze", str(FIXTURES / "stateless9.alg"),
+                            "--dot", str(path))
+        assert code == 0 and "digraph" not in out
+        assert path.read_text().startswith("digraph hasse {")
+
     def test_invalid_algebra_exits_2(self, tmp_path):
         path = tmp_path / "bad.alg"
         path.write_text("version 1\nelements 0 x 1\nzero 0\none 1\n")

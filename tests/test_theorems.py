@@ -29,6 +29,7 @@ from effalg.theorems import (
     statement,
     sweep,
 )
+import oracle_built_intervals as built_route
 import oracle_cubic_claims
 from oracle_cubic_claims import join_sum_pairs
 
@@ -232,25 +233,29 @@ class TestCheckAll:
         assert built and len(built) == len(set(built))
         assert len(tested) == len({id(S) for S in tested}) == len(built) + 1
 
-    def test_each_interval_is_built_once_per_instance(self, monkeypatch):
+    def test_only_central_intervals_are_built(self, monkeypatch):
         E = product([horizontal_sum([chain(2)] * 3), chain(3)])
         built = []
 
-        def counted(E, a, b):
-            built.append(b)
-            return interval(E, a, b)
+        def counted(A, a, b):
+            built.append((A, a, b))
+            return interval(A, a, b)
 
         interval = th.interval
         monkeypatch.setattr(th, "interval", counted)
-        # checked one by one, the claims ask for some intervals [0, z]
-        # several times; check_all builds each of them once
         alone = [check(E, cid) for cid in CLAIM_IDS]
-        asked = sorted(built)
-        assert len(asked) > len(set(asked))
         built.clear()
         assert check_all(E) == alone
-        assert sorted(built) == sorted(set(asked))
         assert th._PER_INSTANCE.get() is None
+        # check_all builds [0, c] once for each qualifying central c != 1,
+        # whose LP state.from_central_element solves, and nothing else:
+        # the other intervals [0, z] and the blocks are read off E's order.
+        # E is modular, so every nonzero central c qualifies.
+        got = sorted(b for _, _, b in built)
+        assert all(A is E and a == E.zero for A, a, _ in built)
+        central = [c for c in structure.center_by_identity(E)
+                   if c not in (E.zero, E.one)]
+        assert got == central and len(central) == 2
 
     def test_each_hypothesis_once_per_instance(self):
         E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
@@ -450,3 +455,68 @@ class TestJoinSumScan:
         # on a 2-core machine the cubic scan took 1.8-3.0 s and the scan
         # inside [0, b'] takes about 0.3 s
         assert elapsed < 1.5, f"{elapsed:.2f} s"
+
+
+class TestBuiltIntervalOracle:
+    """The claims read [0, z] and the blocks off E's own order; building
+    each as an algebra (tests/oracle_built_intervals.py) must give the same
+    verdicts and witnesses on lattice instances."""
+
+    @pytest.fixture(scope="class")
+    def lattices(self):
+        classes = [E for E in small_classes(9) if derive_order(E).is_lattice]
+        assert len(classes) == 89
+        return classes + [product([HS, chain(7)]),
+                          product([HS, chain(3), chain(2)])]
+
+    def test_interval_claims(self, lattices, monkeypatch):
+        intervals = 0
+        for E in lattices:
+            compact = sum(1 << u for u in th._compact_set(E))
+            for mask in (structure.finite_elements(E).mask, compact):
+                assert (th._atomic_below_joins(E, mask)
+                        == built_route.atomic_below_joins(E, mask)
+                        == (True, None))
+            assert (th._finite_interval_complete(E)
+                    == built_route.finite_interval_complete(E) == (True, None))
+            # one interval at a time: the join of {z} below z is z alone,
+            # and finite.interval_complete reads one finite element
+            for z in E.elements():
+                if z == E.zero:
+                    continue
+                intervals += 1
+                assert (th._atomic_below_joins(E, 1 << z)
+                        == built_route.atomic_below_joins(E, 1 << z))
+                with monkeypatch.context() as mp:
+                    one = lambda A: structure.ElementSubset(A, 1 << z)
+                    for module in (th, built_route):
+                        mp.setattr(module, "finite_elements", one)
+                    assert (th._finite_interval_complete(E)
+                            == built_route.finite_interval_complete(E))
+        assert intervals == sum(E.size - 1 for E in lattices)
+
+    def test_atomic_intervals_on_every_class(self):
+        # atomicity of [0, z] needs no joins, so non-lattices are read too
+        intervals = 0
+        for E in small_classes(9):
+            for z in E.elements():
+                if z != E.zero:
+                    intervals += 1
+                    assert (th._atomic_below_joins(E, 1 << z)
+                            == built_route.atomic_below_joins(E, 1 << z))
+        assert intervals == 922
+
+    def test_block_hypothesis(self, lattices, monkeypatch):
+        seen = 0
+        for E in lattices:
+            blist = structure.blocks(E)
+            verdicts = [built_route.block_archimedean_atomic(E, b)
+                        for b in blist]
+            assert th._h_some_block_archimedean_atomic(E) == any(verdicts)
+            # one block at a time
+            for blk, verdict in zip(blist, verdicts):
+                seen += 1
+                with monkeypatch.context() as mp:
+                    mp.setattr(th, "blocks", lambda A: [blk])
+                    assert th._h_some_block_archimedean_atomic(E) == verdict
+        assert seen == 258 + 3 + 3

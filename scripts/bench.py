@@ -109,8 +109,9 @@ def lp_rows(name):
 
 def claim_rows(name):
     E = INSTANCES[name]()
-    # check_all calls theorems.check once per claim, inside its per-instance
-    # context; wrapping it times each claim as check_all runs it
+    # check_all calls theorems.check once per claim, and each claim reads
+    # what earlier claims derived and E keeps; wrapping check times each
+    # claim as check_all runs it
     check = theorems.check
     secs = {}
 

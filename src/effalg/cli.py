@@ -179,8 +179,10 @@ def cmd_analyze(args) -> int:
             _emit({"command": "analyze", "error": str(exc)}, args.json,
                   [f"error: {exc}"])
             return EXIT_PARSE
+    if args.dot == "-" and args.json:
+        data["dot"] = _dot(E)
     _emit(data, args.json, lines)
-    if args.dot == "-":
+    if args.dot == "-" and not args.json:
         sys.stdout.write(_dot(E))
     return EXIT_OK
 

@@ -9,7 +9,7 @@ orthosupplements, differences, iterated sums) is derived from the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import NotBelow, StructuralError, UndefinedSum, ZeroElement
 
@@ -25,6 +25,7 @@ __all__ = [
     "element_order",
     "oplus_sum",
     "bits",
+    "per_algebra",
 ]
 
 
@@ -42,7 +43,9 @@ class FiniteEffectAlgebra:
 
     The table need not satisfy the axioms; run :func:`validate` to find out.
     All derived accessors assume a valid table.  Instances are immutable and
-    hashable; derived structure is cached per instance.
+    hashable; derived structure is cached per instance: order, diff, orth
+    and the functions marked per_algebra, which are functions of E alone
+    with immutable results.  A call that raises caches nothing.
     """
 
     size: int
@@ -93,6 +96,18 @@ class FiniteEffectAlgebra:
 
     def __repr__(self):
         return f"FiniteEffectAlgebra(size={self.size}, zero={self.zero}, one={self.one})"
+
+
+def per_algebra(fn):
+    """Keep fn(E) on E, as E.order is kept.  Only for functions of E alone
+    with immutable results; a call that raises keeps nothing."""
+    @wraps(fn)
+    def cached(E):
+        memo = vars(E).setdefault("_per_algebra", {})
+        if cached not in memo:
+            memo[cached] = fn(E)
+        return memo[cached]
+    return cached
 
 
 @dataclass(frozen=True)

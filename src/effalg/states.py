@@ -55,7 +55,7 @@ from .errors import (
 )
 from .linsolve import ZERO, matrix_rank, row_reduce, solve_standard
 from .structure import (
-    compatible,
+    compatibility_adjacency,
     finite_elements,
     is_archimedean,
     is_atomic,
@@ -405,8 +405,9 @@ def find_subadditive_state(E: FiniteEffectAlgebra):
     the pairwise exchange identity w(x) + w(y) = w(x v y) + w(x ^ y).
     """
     sys = state_system(E, subadditive=True)
+    adj = compatibility_adjacency(E)
     ineqs = [t for t, (x, y) in enumerate(_middle_pairs(E))
-             if not compatible(E, x, y)]
+             if not adj[x] >> y & 1]
     return _solve(E, sys, ineqs)
 
 
@@ -643,7 +644,8 @@ def state_via_exstate_procedure(E: FiniteEffectAlgebra) -> ExstateOutcome:
     n_a = element_order(E, a)
 
     checks = []
-    if all(compatible(E, a, y) for y in E.elements()):
+    adj = compatibility_adjacency(E)
+    if adj[a] | (1 << a) == (1 << E.size) - 1:
         branch = "central-atom"
     else:
         branch = "dichotomy"
@@ -651,7 +653,7 @@ def state_via_exstate_procedure(E: FiniteEffectAlgebra) -> ExstateOutcome:
         if two_a is None:
             raise DichotomyFailed(a, a, "2a undefined for an unsharp atom")
         for b in order.atoms:
-            if b != a and not compatible(E, a, b):
+            if b != a and not adj[a] >> b & 1:
                 j = order.join[a][b]
                 checks.append((b, j, two_a))
                 if j != two_a:

@@ -5,6 +5,11 @@ and distributivity, atomicity (is_atomic) and Archimedeanity
 (is_archimedean), finite and compact elements, sharp upper/lower bounds,
 section involutions, and the flag classifier.  Each property has one
 definition here; the claim registry and the state procedures call it.
+
+The structures that depend on E alone (sharp set, compatibility graph,
+blocks, centers, finite elements, and the modular, atomic and
+Archimedean verdicts) are core.per_algebra: derived once and kept on E.
+Their results are immutable, and a call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .core import (
     difference,
     element_order,
     oplus_sum,
+    per_algebra,
 )
 from .errors import (
     HypothesisViolated,
@@ -128,6 +134,7 @@ def is_sub_lattice(sub: ElementSubset) -> CheckResult:
     return CheckResult(True)
 
 
+@per_algebra
 def sharp_mask(E: FiniteEffectAlgebra) -> int:
     """Bitmask of x whose only common lower bound with x' is zero.
 
@@ -143,6 +150,7 @@ def sharp_mask(E: FiniteEffectAlgebra) -> int:
     return m
 
 
+@per_algebra
 def sharp_elements(E: FiniteEffectAlgebra) -> ElementSubset:
     """S(E): elements with x meet x' = 0.
 
@@ -179,6 +187,7 @@ def compatible(E: FiniteEffectAlgebra, x: int, y: int) -> bool:
     return False
 
 
+@per_algebra
 def compatibility_adjacency(E: FiniteEffectAlgebra) -> tuple[int, ...]:
     """adj[x] = bitmask of elements compatible with x (x itself excluded)."""
     n = E.size
@@ -214,7 +223,8 @@ def _max_cliques(adj: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def blocks(E: FiniteEffectAlgebra) -> list[ElementSubset]:
+@per_algebra
+def blocks(E: FiniteEffectAlgebra) -> tuple[ElementSubset, ...]:
     """Maximal sets of pairwise compatible elements, canonically ordered.
 
     The blocks must cover E.  On a lattice instance every block is checked
@@ -223,7 +233,7 @@ def blocks(E: FiniteEffectAlgebra) -> list[ElementSubset]:
     adj = compatibility_adjacency(E)
     cliques = _max_cliques(adj, E.size)
     cliques.sort(key=lambda m: tuple(bits(m)))
-    subs = [ElementSubset(E, m) for m in cliques]
+    subs = tuple(ElementSubset(E, m) for m in cliques)
 
     lattice = derive_order(E).is_lattice
     covered = 0
@@ -242,6 +252,7 @@ def blocks(E: FiniteEffectAlgebra) -> list[ElementSubset]:
     return subs
 
 
+@per_algebra
 def compatibility_center(E: FiniteEffectAlgebra) -> ElementSubset:
     """B(E): the intersection of all blocks = elements compatible with all.
 
@@ -262,6 +273,7 @@ def compatibility_center(E: FiniteEffectAlgebra) -> ElementSubset:
     return ElementSubset(E, direct)
 
 
+@per_algebra
 def center_by_identity(E: FiniteEffectAlgebra) -> ElementSubset:
     """Elements x with y = (y meet x) join (y meet x') for every y."""
     order = derive_order(E)
@@ -276,6 +288,7 @@ def center_by_identity(E: FiniteEffectAlgebra) -> ElementSubset:
     return ElementSubset(E, m)
 
 
+@per_algebra
 def center(E: FiniteEffectAlgebra) -> ElementSubset:
     """C(E), with the cross-check C(E) = B(E) & S(E)."""
     cen = center_by_identity(E)
@@ -286,6 +299,7 @@ def center(E: FiniteEffectAlgebra) -> ElementSubset:
     return cen
 
 
+@per_algebra
 def is_modular(E: FiniteEffectAlgebra) -> CheckResult:
     """x <= z implies x join (y meet z) = (x join y) meet z; witness a triple."""
     order = derive_order(E)
@@ -330,6 +344,7 @@ def mv_identity_holds(E: FiniteEffectAlgebra) -> CheckResult:
     return CheckResult(True)
 
 
+@per_algebra
 def is_atomic(E: FiniteEffectAlgebra) -> CheckResult:
     """Every nonzero element dominates an atom; witness (x,)."""
     order = derive_order(E)
@@ -339,6 +354,7 @@ def is_atomic(E: FiniteEffectAlgebra) -> CheckResult:
     return CheckResult(True)
 
 
+@per_algebra
 def is_archimedean(E: FiniteEffectAlgebra) -> CheckResult:
     """Every nonzero element has finitely many defined multiples.
 
@@ -355,6 +371,7 @@ def is_archimedean(E: FiniteEffectAlgebra) -> CheckResult:
     return CheckResult(True)
 
 
+@per_algebra
 def finite_elements(E: FiniteEffectAlgebra) -> ElementSubset:
     """Zero plus everything reachable as an iterated sum of atoms.
 
@@ -472,11 +489,6 @@ def sharp_hat_formula(E: FiniteEffectAlgebra, x: int) -> int:
     mod = is_modular(E)  # raises NotLattice on non-lattices
     if not mod:
         raise HypothesisViolated("modularity", f"witness triple {mod.witness}")
-    return _saturated_hat(E, x)
-
-
-def _saturated_hat(E: FiniteEffectAlgebra, x: int) -> int:
-    """sharp_hat_formula on an instance already known to be modular."""
     acc = E.zero
     for a, _k in atom_decomposition(E, x):
         na = element_order(E, a)

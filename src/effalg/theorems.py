@@ -14,25 +14,21 @@ accounting honest.
 
 from __future__ import annotations
 
-import functools
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
 
 from .construct import central_split, interval
 from .core import (FiniteEffectAlgebra, bits, derive_order, difference,
-                   element_order, validate)
+                   element_order, per_algebra, validate)
 from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
                      StructuralError, UnknownClaim)
 from .states import StateVector, find_subadditive_state, lift_failed, lift_state
 from .structure import (
-    _saturated_hat,
     blocks,
     center_by_identity,
+    compatibility_adjacency,
     compatibility_center,
-    compatible,
     finite_elements,
     greatest_sharp_under,
     is_archimedean,
@@ -41,6 +37,7 @@ from .structure import (
     is_lattice_ideal,
     is_modular,
     sharp_elements,
+    sharp_hat_formula,
     sharp_mask,
 )
 
@@ -76,57 +73,17 @@ def _compact_set(E):
 
 # -- what the claims share about one instance --------------------------------
 
-# While check, check_all or sweep runs: [instance, {(function, args):
-# result}] for the functions below marked _once_per_instance, so that the
-# claims compute each of these once per instance between them:
-# - each named hypothesis verdict (is_modular, is_atomic, ...) on the
-#   instance itself; predicates that conclusions call on intervals are not
-#   read through it;
-# - its subadditive LP, solved for modular.measure,
-#   state.from_central_element (at c = 1) and state.exists_unsharp_modular;
-# - its qualifying central elements c, each with [0, c] built for c != 1,
-#   read by the hypothesis and the conclusion of state.from_central_element.
-# A new instance replaces the old one's results, and nothing outlives the
-# outermost check, check_all or sweep call.
-_PER_INSTANCE: ContextVar[list | None] = ContextVar("_PER_INSTANCE", default=None)
+# E keeps what the structure functions derive (core.per_algebra), and the
+# two below: the subadditive LP that three claims read, and the qualifying
+# central elements c, each with [0, c] built for c != 1.
 
 
-@contextmanager
-def _per_instance():
-    token = _PER_INSTANCE.set([None, {}])
-    try:
-        yield
-    finally:
-        _PER_INSTANCE.reset(token)
-
-
-def _once_per_instance(fn):
-    @functools.wraps(fn)
-    def shared(E, *args):
-        slot = _PER_INSTANCE.get()
-        if slot is None:
-            return fn(E, *args)
-        if slot[0] is not E:
-            slot[:] = E, {}
-        results, key = slot[1], (fn, *args)
-        if key not in results:
-            results[key] = fn(E, *args)
-        return results[key]
-    return shared
-
-
-@_once_per_instance
-def _holds(E, pred):
-    """The verdict of a hypothesis predicate on E."""
-    return bool(pred(E))
-
-
-@_once_per_instance
+@per_algebra
 def _subadditive_state(E):
     return find_subadditive_state(E)
 
 
-@_once_per_instance
+@per_algebra
 def _qualifying_centrals(E):
     """(c, [0, c]) for each nonzero central c with [0, c] a modular lattice."""
     F = finite_elements(E)
@@ -137,8 +94,7 @@ def _qualifying_centrals(E):
         sub = E if c == E.one else interval(E, E.zero, c)
         if not derive_order(sub).is_lattice:
             continue
-        # [0, 1] is E itself, whose modularity the hypotheses share
-        if _holds(E, is_modular) if sub is E else is_modular(sub):
+        if is_modular(sub):
             out.append((c, sub))
     return tuple(out)
 
@@ -197,12 +153,10 @@ def _finite_ideal(E):
 
 
 def _sharp_hat(E):
-    # the claim's hypotheses have just checked that E is a modular lattice,
-    # which is all that sharp_hat_formula checks before its formula
     F = finite_elements(E)
     for x in F:
         try:
-            _saturated_hat(E, x)   # raises unless the scan agrees
+            sharp_hat_formula(E, x)   # raises unless the scan agrees
             greatest_sharp_under(E, x)
         except EffectAlgebraError as exc:
             return False, (x, repr(exc))
@@ -409,12 +363,13 @@ def _state_from_central(E):
 def _atom_dichotomy(E):
     order = derive_order(E)
     sm = sharp_mask(E)
+    adj = compatibility_adjacency(E)
     for a in order.atoms:
         if sm >> a & 1:
             continue
         two_a = E.sum[a][a]
         for b in order.atoms:
-            if b == a or compatible(E, a, b):
+            if b == a or adj[a] >> b & 1:
                 continue
             if two_a is None or order.join[a][b] != two_a:
                 return False, (a, b)
@@ -575,16 +530,12 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
     if claim_id not in _REGISTRY:
         raise UnknownClaim(claim_id)
     claim = _REGISTRY[claim_id]
-    if _PER_INSTANCE.get() is None:
-        # the hypotheses and the conclusion share what they compute on E
-        with _per_instance():
-            return check(E, claim_id)
     detail = []
     try:
         # hypotheses are ordered so later ones are only evaluable when the
         # earlier ones hold; stop at the first failure
         for name, pred in claim.hypotheses:
-            ok = _holds(E, pred)
+            ok = bool(pred(E))
             detail.append((name, ok))
             if not ok:
                 return ClaimReport(claim_id, claim.statement, False,
@@ -603,17 +554,17 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
 def check_all(E: FiniteEffectAlgebra) -> list[ClaimReport]:
     """Every registered claim, in stable registry order.
 
-    The claims share each hypothesis verdict, one solve of the instance's
-    subadditive LP and one build of [0, c] for each qualifying central
-    c != 1 (see _PER_INSTANCE).
+    The claims share what they derive from E, which E keeps: each
+    hypothesis verdict, the blocks and the compatibility graph, one solve
+    of its subadditive LP and one build of [0, c] for each qualifying
+    central c != 1.
     """
     bad = validate(E)
     if bad:
         return [ClaimReport(cid, _REGISTRY[cid].statement, False, (), None,
                             None, error=f"invalid table: {bad[0]}")
                 for cid in CLAIM_IDS]
-    with _per_instance():
-        return [check(E, cid) for cid in CLAIM_IDS]
+    return [check(E, cid) for cid in CLAIM_IDS]
 
 
 @dataclass(frozen=True)
@@ -632,9 +583,8 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     first counterexample, and the pass ends once every claim has failed.
     The config's time budget bounds the claim checks too: the deadline is
     read after each instance, and BudgetExceeded (with no checkpoint) ends
-    a sweep that has passed it.  The claims share each hypothesis verdict,
-    one solve of each instance's subadditive LP and one build of [0, c]
-    for each qualifying central c != 1.
+    a sweep that has passed it.  The claims share what they derive from
+    each instance, as in check_all.
     """
     from .enumeration import enumerate_algebras
 
@@ -647,20 +597,19 @@ def sweep(config, claim_ids) -> list[SweepResult]:
     met = dict.fromkeys(claim_ids, 0)
     failures = {}
     live = list(checked)
-    with _per_instance():
-        for E in enumerate_algebras(config):
-            for cid in live:
-                checked[cid] += 1
-                report = check(E, cid)
-                if report.hypotheses_met:
-                    met[cid] += 1
-                    if report.conclusion_holds is False:
-                        failures[cid] = shrink_counterexample(E, cid)
-            live = [cid for cid in live if cid not in failures]
-            if not live:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded(None)
+    for E in enumerate_algebras(config):
+        for cid in live:
+            checked[cid] += 1
+            report = check(E, cid)
+            if report.hypotheses_met:
+                met[cid] += 1
+                if report.conclusion_holds is False:
+                    failures[cid] = shrink_counterexample(E, cid)
+        live = [cid for cid in live if cid not in failures]
+        if not live:
+            break
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(None)
     return [SweepResult(cid, cid not in failures, failures.get(cid),
                         met[cid], checked[cid]) for cid in claim_ids]
 

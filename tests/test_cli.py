@@ -2,13 +2,14 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from conftest import make_b2
-from effalg import enumeration
+from effalg import enumeration, structure
 from effalg.algfile import AlgebraFileError, dump_algebra, loads_algebra
 from effalg.cli import main
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
@@ -203,6 +204,40 @@ class TestAnalyzeCommand:
                             "--dot", str(path))
         assert code == 0 and "digraph" not in out
         assert path.read_text().startswith("digraph hasse {")
+
+    def test_json_dot_to_stdout_is_one_document(self, tmp_path):
+        alg = str(FIXTURES / "stateless9.alg")
+        path = tmp_path / "hasse.dot"
+        code, written = run_cli("analyze", alg, "--json", "--dot", str(path))
+        assert code == 0
+        code, out = run_cli("analyze", alg, "--json", "--dot", "-")
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("dot") == path.read_text()
+        # the rest is the document --dot PATH prints
+        assert data == json.loads(written)
+
+    def test_structure_derived_once(self, tmp_path):
+        # analyze reads the blocks and the compatibility graph for the MV
+        # flag, the blocks listing and both centers
+        path = tmp_path / "hs120.alg"
+        path.write_text("version 1\nconstruct product(horizontal_sum(chain(2), "
+                        "chain(2), chain(2)), chain(3), chain(5))\n")
+        watched = {structure.compatibility_adjacency.__wrapped__.__code__,
+                   structure._max_cliques.__code__}
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            code, out = run_cli("analyze", str(path), "--json")
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and json.loads(out)["size"] == 120
+        assert sorted(calls) == ["_max_cliques", "compatibility_adjacency"]
 
     def test_invalid_algebra_exits_2(self, tmp_path):
         path = tmp_path / "bad.alg"

@@ -149,8 +149,10 @@ class TestCheckAll:
         calls = []
 
         def profile(frame, event, arg):
-            # every call of is_modular, by whatever name the caller holds it
-            if event == "call" and frame.f_code is structure.is_modular.__code__:
+            # every run of is_modular's body, by whatever name the caller
+            # holds it; a cached result runs none
+            if (event == "call"
+                    and frame.f_code is structure.is_modular.__wrapped__.__code__):
                 calls.append(frame.f_locals["E"].size)
 
         sys.setprofile(profile)
@@ -180,8 +182,9 @@ class TestCheckAll:
 
     def test_central_split_builds_no_product(self):
         E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
-        watched = {construct.product.__code__, structure.center.__code__,
-                   structure.compatibility_center.__code__}
+        watched = {construct.product.__code__,
+                   structure.center.__wrapped__.__code__,
+                   structure.compatibility_center.__wrapped__.__code__}
         calls, validated = [], []
 
         def profile(frame, event, arg):
@@ -194,8 +197,7 @@ class TestCheckAll:
 
         sys.setprofile(profile)
         try:
-            with th._per_instance():
-                report = check(E, "state.from_central_element")
+            report = check(E, "state.from_central_element")
         finally:
             sys.setprofile(None)
         # the split is checked on E's own table: no rebuilt 60-element
@@ -219,7 +221,7 @@ class TestCheckAll:
                 return
             if frame.f_code is construct.interval.__code__:
                 built.append(frame.f_locals["b"])
-            elif frame.f_code is structure.is_modular.__code__:
+            elif frame.f_code is structure.is_modular.__wrapped__.__code__:
                 tested.append(frame.f_locals["E"])
 
         sys.setprofile(profile)
@@ -234,7 +236,10 @@ class TestCheckAll:
         assert len(tested) == len({id(S) for S in tested}) == len(built) + 1
 
     def test_only_central_intervals_are_built(self, monkeypatch):
-        E = product([horizontal_sum([chain(2)] * 3), chain(3)])
+        def build():
+            return product([horizontal_sum([chain(2)] * 3), chain(3)])
+
+        E = build()
         built = []
 
         def counted(A, a, b):
@@ -243,10 +248,10 @@ class TestCheckAll:
 
         interval = th.interval
         monkeypatch.setattr(th, "interval", counted)
-        alone = [check(E, cid) for cid in CLAIM_IDS]
+        # a copy, since E keeps what its claims derive
+        alone = [check(build(), cid) for cid in CLAIM_IDS]
         built.clear()
         assert check_all(E) == alone
-        assert th._PER_INSTANCE.get() is None
         # check_all builds [0, c] once for each qualifying central c != 1,
         # whose LP state.from_central_element solves, and nothing else:
         # the other intervals [0, z] and the blocks are read off E's order.
@@ -258,16 +263,21 @@ class TestCheckAll:
         assert got == central and len(central) == 2
 
     def test_each_hypothesis_once_per_instance(self):
-        E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
+        def build():
+            return product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
+
+        E = build()
         assert E.size == 60
         calls = []
+        body = structure.is_modular.__wrapped__.__code__
 
         def profile(frame, event, arg):
-            if (event == "call" and frame.f_code is structure.is_modular.__code__
+            if (event == "call" and frame.f_code is body
                     and frame.f_locals["E"] is E):
                 calls.append(frame.f_code.co_name)
 
-        alone = [check(E, cid) for cid in CLAIM_IDS]
+        # a copy, since E keeps what its claims derive
+        alone = [check(build(), cid) for cid in CLAIM_IDS]
         sys.setprofile(profile)
         try:
             reports = check_all(E)
@@ -277,6 +287,48 @@ class TestCheckAll:
         # once, while the intervals [0, c] get their own calls
         assert calls == ["is_modular"]
         assert reports == alone
+
+    def test_check_all_derives_each_structure_once(self):
+        E = product([HS, chain(3), chain(2)])
+        sharp = structure.sharp_mask(E)
+        adjacency = structure.compatibility_adjacency.__wrapped__.__code__
+        calls = []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code is adjacency and frame.f_locals["E"] is E:
+                calls.append("adjacency")
+            elif code is structure._max_cliques.__code__:
+                calls.append("block search")
+            elif code is structure.is_sub_effect_algebra.__code__:
+                sub = frame.f_locals["sub"]
+                if sub.parent is E and sub.mask == sharp:
+                    calls.append("sharp closure")
+
+        sys.setprofile(profile)
+        try:
+            reports = check_all(E)
+        finally:
+            sys.setprofile(None)
+        assert not any(r.failed() for r in reports)
+        # center.identity, atomic.from_archimedean_block and sharp.hat_formula
+        # read them; the intervals [0, c] have graphs of their own
+        assert sorted(calls) == ["adjacency", "block search", "sharp closure"]
+
+    def test_kept_structure_leaves_equality_alone(self):
+        def build():
+            return product([HS, chain(3), chain(2)])
+
+        E = build()
+        check_all(E)
+        fresh = build()
+        assert E == fresh and hash(E) == hash(fresh)
+        assert {E: 1}[fresh] == 1
+        assert isinstance(structure.blocks(E), tuple)
+        assert structure.blocks(E) is structure.blocks(E)
+        assert structure.blocks(E) == structure.blocks(fresh)
 
     def test_conclusion_none_iff_hypotheses_unmet(self, corpus):
         for E in corpus:

@@ -20,7 +20,7 @@ import os
 import sys
 
 from .algfile import AlgebraFileError, dump_algebra, load_algebra
-from .core import derive_order, element_order, validate
+from .core import bits, derive_order, element_order, validate
 from .enumeration import (EnumerationConfig, _rows_to_jsonable,
                           enumerate_algebras, find_stateless, read_checkpoint,
                           write_checkpoint)
@@ -38,7 +38,7 @@ from .structure import (
     center,
     classify,
     compatibility_center,
-    sharp_elements,
+    sharp_mask,
 )
 from .theorems import CLAIM_IDS, SCALE_LIMITED, check_all, sweep
 
@@ -104,7 +104,7 @@ def _labels(E, xs):
 
 def _dot(E) -> str:
     order = derive_order(E)
-    sharp = sharp_elements(E).mask
+    sharp = sharp_mask(E)
     out = ["digraph hasse {", "  rankdir=BT;"]
     for x in E.elements():
         marks = [f'label="{E.label(x)}"']
@@ -149,7 +149,7 @@ def cmd_analyze(args) -> int:
                       if flag.witness is not None},
         "atoms": _labels(E, order.atoms),
         "ord": ords,
-        "sharp": list(sharp_elements(E).labels()),
+        "sharp": _labels(E, bits(sharp_mask(E))),
     }
     lines = [
         f"size {E.size}, zero {E.label(E.zero)}, one {E.label(E.one)}",
@@ -161,11 +161,11 @@ def cmd_analyze(args) -> int:
     ]
     if flags.is_lattice:
         blist = blocks(E)
-        data["blocks"] = [list(b.labels()) for b in blist]
-        data["compatibility_center"] = list(compatibility_center(E).labels())
-        data["center"] = list(center(E).labels())
+        data["blocks"] = [_labels(E, bits(b)) for b in blist]
+        data["compatibility_center"] = _labels(E, bits(compatibility_center(E)))
+        data["center"] = _labels(E, bits(center(E)))
         lines.append(f"blocks: {len(blist)}")
-        lines += ["  " + " ".join(b.labels()) for b in blist]
+        lines += ["  " + " ".join(b) for b in data["blocks"]]
         lines.append("compatibility center: " + " ".join(data["compatibility_center"]))
         lines.append("center: " + " ".join(data["center"]))
 

@@ -45,7 +45,9 @@ class FiniteEffectAlgebra:
     All derived accessors assume a valid table.  Instances are immutable and
     hashable; derived structure is cached per instance: order, diff, orth
     and the functions marked per_algebra, which are functions of E alone
-    with immutable results.  A call that raises caches nothing.
+    with immutable results that never refer back to E (subsets are int
+    bitmasks).  A call that raises caches nothing, and an instance is freed
+    as soon as its last reference goes.
     """
 
     size: int
@@ -100,7 +102,12 @@ class FiniteEffectAlgebra:
 
 def per_algebra(fn):
     """Keep fn(E) on E, as E.order is kept.  Only for functions of E alone
-    with immutable results; a call that raises keeps nothing."""
+    with immutable results; a call that raises keeps nothing.
+
+    A kept result never refers back to E: it is plain data (ints, tuples,
+    other algebras), so E holds no reference cycle and is freed as soon as
+    its last reference goes, without the cycle collector.
+    """
     @wraps(fn)
     def cached(E):
         memo = vars(E).setdefault("_per_algebra", {})

@@ -566,7 +566,7 @@ def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
     else:
         dec = central_decomposition(E, c)
         sub, iso = dec.lower, dec.iso
-    if c not in finite_elements(E):
+    if not finite_elements(E) >> c & 1:
         raise HypothesisViolated("c finite", "unreachable on a finite algebra")
 
     mod = is_modular(sub)

@@ -6,10 +6,14 @@ and distributivity, atomicity (is_atomic) and Archimedeanity
 section involutions, and the flag classifier.  Each property has one
 definition here; the claim registry and the state procedures call it.
 
+A subset of the elements (the sharp set, a block, a center, the finite
+elements, an ideal) is an int bitmask: bit x is set when x is a member.
+
 The structures that depend on E alone (sharp set, compatibility graph,
 blocks, centers, finite elements, and the modular, atomic and
 Archimedean verdicts) are core.per_algebra: derived once and kept on E.
-Their results are immutable, and a call that raises keeps nothing.
+Their results are immutable ints, tuples and CheckResults that never
+refer back to E, and a call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ElementSubset",
     "CheckResult",
     "ClassificationFlags",
     "sharp_elements",
@@ -78,32 +81,9 @@ class CheckResult(NamedTuple):
         return self.holds
 
 
-@dataclass(frozen=True)
-class ElementSubset:
-    """A subset of a parent algebra's elements, stored as a bitmask."""
-
-    parent: FiniteEffectAlgebra
-    mask: int
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-    def __iter__(self):
-        return bits(self.mask)
-
-    def __len__(self):
-        return bin(self.mask).count("1")
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.parent.label(x) for x in self)
-
-
-def is_sub_effect_algebra(sub: ElementSubset) -> CheckResult:
-    """Contains 0 and 1, closed under ' and under every defined sum."""
-    E, m = sub.parent, sub.mask
+def is_sub_effect_algebra(E: FiniteEffectAlgebra, m: int) -> CheckResult:
+    """The subset m contains 0 and 1 and is closed under ' and under every
+    defined sum."""
     if not (m >> E.zero & 1):
         return CheckResult(False, ("missing-zero", E.zero))
     if not (m >> E.one & 1):
@@ -118,9 +98,8 @@ def is_sub_effect_algebra(sub: ElementSubset) -> CheckResult:
     return CheckResult(True)
 
 
-def is_sub_lattice(sub: ElementSubset) -> CheckResult:
-    """Joins and meets (computed in the parent) stay inside the subset."""
-    E, m = sub.parent, sub.mask
+def is_sub_lattice(E: FiniteEffectAlgebra, m: int) -> CheckResult:
+    """Joins and meets (computed in E) stay inside the subset m."""
     order = derive_order(E)
     for x in bits(m):
         for y in bits(m):
@@ -151,8 +130,8 @@ def sharp_mask(E: FiniteEffectAlgebra) -> int:
 
 
 @per_algebra
-def sharp_elements(E: FiniteEffectAlgebra) -> ElementSubset:
-    """S(E): elements with x meet x' = 0.
+def sharp_elements(E: FiniteEffectAlgebra) -> int:
+    """S(E): elements with x meet x' = 0, as a bitmask.
 
     Raises MeetUndefined when some x meet x' does not exist (only possible
     on non-lattice instances).  On lattice instances the result is checked
@@ -163,12 +142,11 @@ def sharp_elements(E: FiniteEffectAlgebra) -> ElementSubset:
     for x in bits(((1 << E.size) - 1) & ~m):
         if order.meet[x][E.orth[x]] is None:
             raise MeetUndefined(x)
-    sub = ElementSubset(E, m)
     if order.is_lattice:
-        ok = is_sub_effect_algebra(sub)
+        ok = is_sub_effect_algebra(E, m)
         if not ok:
             raise InternalCheckFailed(f"sharp set not closed: {ok.witness}")
-    return sub
+    return m
 
 
 def compatible(E: FiniteEffectAlgebra, x: int, y: int) -> bool:
@@ -224,8 +202,9 @@ def _max_cliques(adj: tuple[int, ...], n: int) -> list[int]:
 
 
 @per_algebra
-def blocks(E: FiniteEffectAlgebra) -> tuple[ElementSubset, ...]:
-    """Maximal sets of pairwise compatible elements, canonically ordered.
+def blocks(E: FiniteEffectAlgebra) -> tuple[int, ...]:
+    """Maximal sets of pairwise compatible elements, as bitmasks in
+    canonical order.
 
     The blocks must cover E.  On a lattice instance every block is checked
     to be a sub-lattice effect algebra, which only a lattice guarantees.
@@ -233,27 +212,26 @@ def blocks(E: FiniteEffectAlgebra) -> tuple[ElementSubset, ...]:
     adj = compatibility_adjacency(E)
     cliques = _max_cliques(adj, E.size)
     cliques.sort(key=lambda m: tuple(bits(m)))
-    subs = tuple(ElementSubset(E, m) for m in cliques)
 
     lattice = derive_order(E).is_lattice
     covered = 0
-    for sub in subs:
-        covered |= sub.mask
+    for m in cliques:
+        covered |= m
         if lattice:
-            ok = is_sub_effect_algebra(sub)
+            ok = is_sub_effect_algebra(E, m)
             if not ok:
                 raise InternalCheckFailed(
                     f"block not a sub-effect algebra: {ok.witness}")
-            ok = is_sub_lattice(sub)
+            ok = is_sub_lattice(E, m)
             if not ok:
                 raise InternalCheckFailed(f"block not a sub-lattice: {ok.witness}")
     if covered != (1 << E.size) - 1:
         raise InternalCheckFailed("blocks do not cover the algebra")
-    return subs
+    return tuple(cliques)
 
 
 @per_algebra
-def compatibility_center(E: FiniteEffectAlgebra) -> ElementSubset:
+def compatibility_center(E: FiniteEffectAlgebra) -> int:
     """B(E): the intersection of all blocks = elements compatible with all.
 
     Both characterizations are computed and must agree.
@@ -265,16 +243,16 @@ def compatibility_center(E: FiniteEffectAlgebra) -> ElementSubset:
         if adj[x] | (1 << x) == full:
             direct |= 1 << x
     inter = full
-    for sub in blocks(E):
-        inter &= sub.mask
+    for m in blocks(E):
+        inter &= m
     if inter != direct:
         raise InternalCheckFailed(
             f"block intersection {inter:b} != universal-compatibility set {direct:b}")
-    return ElementSubset(E, direct)
+    return direct
 
 
 @per_algebra
-def center_by_identity(E: FiniteEffectAlgebra) -> ElementSubset:
+def center_by_identity(E: FiniteEffectAlgebra) -> int:
     """Elements x with y = (y meet x) join (y meet x') for every y."""
     order = derive_order(E)
     if not order.is_lattice:
@@ -285,17 +263,17 @@ def center_by_identity(E: FiniteEffectAlgebra) -> ElementSubset:
         if all(order.join[order.meet[y][x]][order.meet[y][xp]] == y
                for y in E.elements()):
             m |= 1 << x
-    return ElementSubset(E, m)
+    return m
 
 
 @per_algebra
-def center(E: FiniteEffectAlgebra) -> ElementSubset:
+def center(E: FiniteEffectAlgebra) -> int:
     """C(E), with the cross-check C(E) = B(E) & S(E)."""
     cen = center_by_identity(E)
-    other = compatibility_center(E).mask & sharp_elements(E).mask
-    if cen.mask != other:
+    other = compatibility_center(E) & sharp_elements(E)
+    if cen != other:
         raise InternalCheckFailed(
-            f"center {cen.mask:b} != compatibility-center & sharp {other:b}")
+            f"center {cen:b} != compatibility-center & sharp {other:b}")
     return cen
 
 
@@ -372,7 +350,7 @@ def is_archimedean(E: FiniteEffectAlgebra) -> CheckResult:
 
 
 @per_algebra
-def finite_elements(E: FiniteEffectAlgebra) -> ElementSubset:
+def finite_elements(E: FiniteEffectAlgebra) -> int:
     """Zero plus everything reachable as an iterated sum of atoms.
 
     On a finite algebra this is the whole carrier, which is asserted:
@@ -395,15 +373,14 @@ def finite_elements(E: FiniteEffectAlgebra) -> ElementSubset:
         raise InternalCheckFailed(
             f"atom-sum closure missed elements: {reach:b} (finite algebras are "
             "spanned by their atoms)")
-    return ElementSubset(E, reach)
+    return reach
 
 
-def is_lattice_ideal(E: FiniteEffectAlgebra, S: ElementSubset) -> CheckResult:
-    """Downward closed and closed under binary joins."""
+def is_lattice_ideal(E: FiniteEffectAlgebra, m: int) -> CheckResult:
+    """The subset m is downward closed and closed under binary joins."""
     order = derive_order(E)
     if not order.is_lattice:
         raise NotLattice("lattice ideal test needs a lattice instance")
-    m = S.mask
     for x in bits(m):
         if order.down[x] & ~m:
             y = next(bits(order.down[x] & ~m))
@@ -436,7 +413,7 @@ def _minimum_of(mask: int, order: OrderStructure) -> int | list[int]:
 def smallest_sharp_over(E: FiniteEffectAlgebra, x: int) -> int:
     """The least sharp element above x; NoMinimum carries the antichain."""
     order = derive_order(E)
-    uppers = order.up[x] & sharp_elements(E).mask
+    uppers = order.up[x] & sharp_elements(E)
     got = _minimum_of(uppers, order)
     if isinstance(got, list):
         raise NoMinimum(x, tuple(got))
@@ -446,7 +423,7 @@ def smallest_sharp_over(E: FiniteEffectAlgebra, x: int) -> int:
 def greatest_sharp_under(E: FiniteEffectAlgebra, x: int) -> int:
     """The greatest sharp element below x (dual of smallest_sharp_over)."""
     order = derive_order(E)
-    lowers = order.down[x] & sharp_elements(E).mask
+    lowers = order.down[x] & sharp_elements(E)
     maximals = [u for u in bits(lowers) if order.up[u] & lowers == 1 << u]
     if len(maximals) != 1:
         raise NoMinimum(x, tuple(maximals))

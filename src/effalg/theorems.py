@@ -23,7 +23,8 @@ from .core import (FiniteEffectAlgebra, bits, derive_order, difference,
                    element_order, per_algebra, validate)
 from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
                      StructuralError, UnknownClaim)
-from .states import StateVector, find_subadditive_state, lift_failed, lift_state
+from .states import (StateVector, find_subadditive_state, lift_failed,
+                     lift_state, verify_state)
 from .structure import (
     blocks,
     center_by_identity,
@@ -74,28 +75,29 @@ def _compact_set(E):
 # -- what the claims share about one instance --------------------------------
 
 # E keeps what the structure functions derive (core.per_algebra), and the
-# two below: the subadditive LP that three claims read, and the qualifying
-# central elements c, each with [0, c] built for c != 1.
+# two below: the values of the subadditive state that three claims read
+# (None when there is none), and the qualifying central elements c, each
+# with [0, c] built for c != 1.  Neither refers back to E.
 
 
 @per_algebra
 def _subadditive_state(E):
-    return find_subadditive_state(E)
+    got = find_subadditive_state(E)
+    return got.values if isinstance(got, StateVector) else None
 
 
 @per_algebra
 def _qualifying_centrals(E):
-    """(c, [0, c]) for each nonzero central c with [0, c] a modular lattice."""
+    """(c, [0, c]) for each nonzero central c with [0, c] a modular lattice;
+    (1, None) for c = 1, whose interval is E itself."""
     F = finite_elements(E)
     out = []
-    for c in center_by_identity(E):
-        if c == E.zero or c not in F:
+    for c in bits(center_by_identity(E)):
+        if c == E.zero or not F >> c & 1:
             continue
         sub = E if c == E.one else interval(E, E.zero, c)
-        if not derive_order(sub).is_lattice:
-            continue
-        if is_modular(sub):
-            out.append((c, sub))
+        if derive_order(sub).is_lattice and is_modular(sub):
+            out.append((c, None if sub is E else sub))
     return tuple(out)
 
 
@@ -105,10 +107,10 @@ def _qualifying_centrals(E):
 def _finite_diff_of_join(E):
     order = derive_order(E)
     F = finite_elements(E)
-    for x in F:
+    for x in bits(F):
         for y in E.elements():
             j = order.join[x][y]
-            if difference(E, j, y) not in F:
+            if not F >> difference(E, j, y) & 1:
                 return False, (x, y)
     return True, None
 
@@ -116,9 +118,9 @@ def _finite_diff_of_join(E):
 def _finite_downward(E):
     order = derive_order(E)
     F = finite_elements(E)
-    for x in F:
+    for x in bits(F):
         for z in bits(order.down[x]):
-            if z not in F:
+            if not F >> z & 1:
                 return False, (x, z)
     return True, None
 
@@ -132,7 +134,7 @@ def _finite_interval_complete(E):
     for a in E.elements():
         for b in range(a + 1, E.size):
             bad |= up[a] & up[b] & ~(up[join[a][b]] & up[meet[a][b]])
-    for x in bits(bad & finite_elements(E).mask & ~(1 << E.zero)):
+    for x in bits(bad & finite_elements(E) & ~(1 << E.zero)):
         return False, (x,)
     return True, None
 
@@ -140,9 +142,9 @@ def _finite_interval_complete(E):
 def _finite_join_closed(E):
     order = derive_order(E)
     F = finite_elements(E)
-    for x in F:
-        for y in F:
-            if order.join[x][y] not in F:
+    for x in bits(F):
+        for y in bits(F):
+            if not F >> order.join[x][y] & 1:
                 return False, (x, y)
     return True, None
 
@@ -153,8 +155,7 @@ def _finite_ideal(E):
 
 
 def _sharp_hat(E):
-    F = finite_elements(E)
-    for x in F:
+    for x in bits(finite_elements(E)):
         try:
             sharp_hat_formula(E, x)   # raises unless the scan agrees
             greatest_sharp_under(E, x)
@@ -252,7 +253,7 @@ def _atomic_below_joins(E, mask):
 
 
 def _atomic_from_finite_joins(E):
-    return _atomic_below_joins(E, finite_elements(E).mask)
+    return _atomic_below_joins(E, finite_elements(E))
 
 
 def _h_some_block_archimedean_atomic(E):
@@ -268,7 +269,7 @@ def _h_some_block_archimedean_atomic(E):
         except StructuralError:
             endless |= 1 << x
     for blk in blocks(E):
-        m = blk.mask & ~(1 << E.zero)
+        m = blk & ~(1 << E.zero)
         atoms = sum(1 << b for b in bits(m) if order.down[b] & m == 1 << b)
         if not m & endless and all(order.down[b] & atoms for b in bits(m)):
             return True
@@ -277,10 +278,9 @@ def _h_some_block_archimedean_atomic(E):
 
 def _sharp_is_atomic_oml(E):
     order = derive_order(E)
-    S = sharp_elements(E)
-    sm = S.mask
-    for s in S:
-        for t in S:
+    sm = sharp_elements(E)
+    for s in bits(sm):
+        for t in bits(sm):
             j, w = order.join[s][t], order.meet[s][t]
             if not (sm >> j & 1):
                 return False, ("join-escapes", s, t, j)
@@ -290,12 +290,12 @@ def _sharp_is_atomic_oml(E):
                 # orthomodular law inside S: t = s v (t ^ s')
                 if order.join[s][order.meet[t][E.orth[s]]] != t:
                     return False, ("orthomodular-law", s, t)
-    atoms_of_s = [s for s in S if s != E.zero
+    atoms_of_s = [s for s in bits(sm) if s != E.zero
                   and order.down[s] & sm == (1 << E.zero) | (1 << s)]
     am = 0
     for a in atoms_of_s:
         am |= 1 << a
-    for s in S:
+    for s in bits(sm):
         if s != E.zero and not (order.down[s] & am):
             return False, ("no-sharp-atom-below", s)
     return True, None
@@ -313,7 +313,7 @@ def _compact_finite(E):
     # a finite compact u is also the finite join {u} of finite elements
     F = finite_elements(E)
     for u in _compact_set(E):
-        if u not in F:
+        if not F >> u & 1:
             return False, (u,)
     return True, None
 
@@ -324,8 +324,8 @@ def _atomic_from_compact_joins(E):
 
 
 def _center_identity(E):
-    cen = center_by_identity(E).mask
-    other = compatibility_center(E).mask & sharp_elements(E).mask
+    cen = center_by_identity(E)
+    other = compatibility_center(E) & sharp_elements(E)
     if cen != other:
         only = cen ^ other
         return False, tuple(bits(only))
@@ -333,15 +333,14 @@ def _center_identity(E):
 
 
 def _modular_measure(E):
-    got = _subadditive_state(E)
-    if not isinstance(got, StateVector):
+    w = _subadditive_state(E)
+    if w is None:
         return True, None  # no subadditive state to test; nothing claimed
-    order = derive_order(E)
-    w = got.values
-    for x in E.elements():
-        for y in E.elements():
-            if w[x] + w[y] != w[order.join[x][y]] + w[order.meet[x][y]]:
-                return False, (x, y)
+    # verify_state checks w(x)+w(y) = w(x v y)+w(x ^ y) over the pairs in
+    # row-major order, in integers, as its "exchange" kind
+    for bad in verify_state(E, StateVector(E, w), require_subadditive=True):
+        if bad.kind == "exchange":
+            return False, bad.witness
     return True, None
 
 
@@ -351,7 +350,7 @@ def _state_from_central(E):
         try:
             if c != E.one:
                 lift_state(E, c, sub, central_split(E, c))
-            elif not isinstance(_subadditive_state(E), StateVector):
+            elif _subadditive_state(E) is None:
                 # [0, 1] is E and the lift through 1 is the identity, so
                 # the lifted state is E's own, solved once with the others
                 raise lift_failed(E, c, E)
@@ -377,7 +376,7 @@ def _atom_dichotomy(E):
 
 
 def _subadditive_exists(E):
-    if not isinstance(_subadditive_state(E), StateVector):
+    if _subadditive_state(E) is None:
         return False, ("infeasible",)
     return True, None
 

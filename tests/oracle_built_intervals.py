@@ -20,7 +20,7 @@ def lower_interval(E, z):
 def finite_interval_complete(E):
     """finite.interval_complete: each [0, x] with x finite and nonzero is
     a lattice; witness (x,)."""
-    for x in finite_elements(E):
+    for x in bits(finite_elements(E)):
         if x != E.zero and not derive_order(lower_interval(E, x)).is_lattice:
             return False, (x,)
     return True, None
@@ -42,8 +42,9 @@ def atomic_below_joins(E, mask):
 
 
 def block_algebra(E, blk):
-    """The block as an algebra: E's sums restricted to its members."""
-    members = blk.members()
+    """The block (a bitmask) as an algebra: E's sums restricted to its
+    members."""
+    members = tuple(bits(blk))
     pos = {x: i for i, x in enumerate(members)}
     table = tuple(
         tuple(pos[E.sum[x][y]] if E.sum[x][y] is not None else None

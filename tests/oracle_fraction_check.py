@@ -4,6 +4,8 @@ state_violations lists what is wrong with a value vector the plain way:
 every sum and comparison is taken over Fractions, one condition at a
 time, in the order and with the messages of states.verify_state.
 certificate_holds recomputes a certificate's combined row in Fractions.
+modular_measure is the claim modular.measure's earlier conclusion: the
+exchange identity over every pair, in Fractions.
 
 Deliberately independent of the states and linsolve modules: it reads
 only the algebra's tables and the certificate's plain fields.
@@ -51,6 +53,17 @@ def state_violations(E, values, require_subadditive=False):
                     out.append(("exchange", (x, y), "w+w != w(join)+w(meet) at "
                                 f"({E.label(x)},{E.label(y)})"))
     return out
+
+
+def modular_measure(E, w):
+    """(True, None), or (False, (x, y)) at the first pair, row-major, with
+    w(x) + w(y) != w(x v y) + w(x ^ y); lattice instances only."""
+    order = derive_order(E)
+    for x in E.elements():
+        for y in E.elements():
+            if w[x] + w[y] != w[order.join[x][y]] + w[order.meet[x][y]]:
+                return False, (x, y)
+    return True, None
 
 
 def certificate_holds(system, eq_mult, bound_mult, ineq_mult):

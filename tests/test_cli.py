@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from effalg import enumeration, structure
 from effalg.algfile import AlgebraFileError, dump_algebra, loads_algebra
 from effalg.cli import main
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
-from effalg.enumeration import _rows_to_jsonable, canonical_key
+from effalg.core import derive_order
+from effalg.enumeration import (EnumerationConfig, _rows_to_jsonable,
+                                canonical_key, enumerate_algebras)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -244,6 +247,50 @@ class TestAnalyzeCommand:
         path.write_text("version 1\nelements 0 x 1\nzero 0\none 1\n")
         code, _ = run_cli("analyze", str(path))
         assert code == 2  # x has no orthosupplement
+
+    @pytest.mark.parametrize("size, index", [(8, 16), (9, 36)])
+    def test_missing_meet_with_orthosupplement(self, tmp_path, size, index):
+        # two non-lattices where some x meet x' does not exist: the sharp
+        # set is the elements whose only common lower bound with x' is zero
+        E = list(enumerate_algebras(EnumerationConfig(size=size)))[index]
+        assert not derive_order(E).is_lattice
+        path = tmp_path / "e.alg"
+        path.write_text(dump_algebra(E))
+        sharp = [E.label(E.zero), E.label(E.one)]
+        code, out = run_cli("analyze", str(path), "--json")
+        assert code == 0 and json.loads(out)["sharp"] == sharp
+        code, out = run_cli("analyze", str(path), "--json", "--dot", "-")
+        assert code == 0
+        assert json.loads(out)["dot"].count("peripheries=2") == 2
+        code, out = run_cli("analyze", str(path), "--dot", "-")
+        assert code == 0 and "sharp: " + " ".join(sharp) + "\n" in out
+        assert out.count("peripheries=2") == 2
+
+
+class TestEveryClassUpToNine:
+    # the documented exit codes of a valid algebra: 0 done, 4 no state,
+    # 5 procedure hypotheses fail, 7 claim failure
+    COMMANDS = {
+        "analyze --json": Counter({0: 133}),
+        "states --json": Counter({0: 132, 4: 1}),
+        "states --subadditive --json": Counter({0: 31, 4: 58, 5: 44}),
+        "states --via-exstate --json": Counter({0: 26, 5: 107}),
+        "theorems --json": Counter({0: 133}),
+    }
+
+    def test_each_command_exits_documented_with_one_document(self, tmp_path):
+        codes = {command: Counter() for command in self.COMMANDS}
+        for n in range(2, 10):
+            for i, E in enumerate(enumerate_algebras(EnumerationConfig(size=n))):
+                path = tmp_path / f"{n}-{i}.alg"
+                path.write_text(dump_algebra(E))
+                for command in self.COMMANDS:
+                    name, *flags = command.split()
+                    code, out = run_cli(name, str(path), *flags)
+                    assert code in (0, 4, 5, 7), (command, n, i)
+                    json.loads(out)
+                    codes[command][code] += 1
+        assert codes == self.COMMANDS
 
 
 class TestStatesCommand:

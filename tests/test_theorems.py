@@ -1,9 +1,13 @@
 """The claim registry: per-instance checks and enumeration sweeps."""
 
 import functools
+import gc
 import sys
 import time
+import types
+import weakref
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -31,6 +35,7 @@ from effalg.theorems import (
 )
 import oracle_built_intervals as built_route
 import oracle_cubic_claims
+import oracle_fraction_check
 from oracle_cubic_claims import join_sum_pairs
 
 
@@ -258,7 +263,7 @@ class TestCheckAll:
         # E is modular, so every nonzero central c qualifies.
         got = sorted(b for _, _, b in built)
         assert all(A is E and a == E.zero for A, a, _ in built)
-        central = [c for c in structure.center_by_identity(E)
+        central = [c for c in bits(structure.center_by_identity(E))
                    if c not in (E.zero, E.one)]
         assert got == central and len(central) == 2
 
@@ -303,8 +308,7 @@ class TestCheckAll:
             elif code is structure._max_cliques.__code__:
                 calls.append("block search")
             elif code is structure.is_sub_effect_algebra.__code__:
-                sub = frame.f_locals["sub"]
-                if sub.parent is E and sub.mask == sharp:
+                if frame.f_locals["E"] is E and frame.f_locals["m"] == sharp:
                     calls.append("sharp closure")
 
         sys.setprofile(profile)
@@ -329,6 +333,40 @@ class TestCheckAll:
         assert isinstance(structure.blocks(E), tuple)
         assert structure.blocks(E) is structure.blocks(E)
         assert structure.blocks(E) == structure.blocks(fresh)
+
+    def test_instance_freed_without_the_cycle_collector(self):
+        # nothing E keeps refers back to E, so dropping the last reference
+        # frees it at once
+        def reaches(value, target):
+            seen, todo = set(), [value]
+            while todo:
+                obj = todo.pop()
+                if obj is target:
+                    return True
+                if id(obj) in seen or isinstance(
+                        obj, (type, types.ModuleType, types.FunctionType)):
+                    continue
+                seen.add(id(obj))
+                todo.extend(gc.get_referents(obj))
+            return False
+
+        gc.disable()
+        try:
+            algebras = list(enumerate_algebras(EnumerationConfig(size=9)))
+            algebras.append(product([HS, chain(3), chain(2)]))
+            refs = [weakref.ref(E) for E in algebras]
+            kept = 0
+            for E in algebras:
+                check_all(E)
+                # a non-lattice meets no hypothesis that reads a kept result
+                values = vars(E).get("_per_algebra", {}).values()
+                assert not any(reaches(v, E) for v in values)
+                kept += len(values)
+            del E, algebras
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+        assert len(refs) == 61 and alive == 0 and kept > 300
 
     def test_conclusion_none_iff_hypotheses_unmet(self, corpus):
         for E in corpus:
@@ -509,6 +547,33 @@ class TestJoinSumScan:
         assert elapsed < 1.5, f"{elapsed:.2f} s"
 
 
+class TestModularMeasureOracle:
+    """modular.measure reports verify_state's first "exchange" violation;
+    the Fraction loop over every pair (tests/oracle_fraction_check.py) must
+    give the same witness, on found states and on damaged ones."""
+
+    def test_same_witness_on_damaged_states(self, monkeypatch):
+        instances = [E for E in small_classes(9)
+                     if derive_order(E).is_lattice] + [product([HS, chain(3)])]
+        states = [(E, th._subadditive_state(E)) for E in instances]
+        states = [(E, w) for E, w in states if w is not None]
+        assert len(states) == 32
+        failed = 0
+        for E, w in states:
+            assert th._modular_measure(E) == (True, None)
+            for z in E.elements():
+                for delta in (Fraction(1, 7), -w[z]):
+                    damaged = list(w)
+                    damaged[z] += delta
+                    with monkeypatch.context() as mp:
+                        mp.setattr(th, "_subadditive_state",
+                                   lambda A: tuple(damaged))
+                        got = th._modular_measure(E)
+                    assert got == oracle_fraction_check.modular_measure(E, damaged)
+                    failed += not got[0]
+        assert failed > 100
+
+
 class TestBuiltIntervalOracle:
     """The claims read [0, z] and the blocks off E's own order; building
     each as an algebra (tests/oracle_built_intervals.py) must give the same
@@ -525,7 +590,7 @@ class TestBuiltIntervalOracle:
         intervals = 0
         for E in lattices:
             compact = sum(1 << u for u in th._compact_set(E))
-            for mask in (structure.finite_elements(E).mask, compact):
+            for mask in (structure.finite_elements(E), compact):
                 assert (th._atomic_below_joins(E, mask)
                         == built_route.atomic_below_joins(E, mask)
                         == (True, None))
@@ -540,7 +605,7 @@ class TestBuiltIntervalOracle:
                 assert (th._atomic_below_joins(E, 1 << z)
                         == built_route.atomic_below_joins(E, 1 << z))
                 with monkeypatch.context() as mp:
-                    one = lambda A: structure.ElementSubset(A, 1 << z)
+                    one = lambda A: 1 << z
                     for module in (th, built_route):
                         mp.setattr(module, "finite_elements", one)
                     assert (th._finite_interval_complete(E)

@@ -56,7 +56,6 @@ from .errors import (
 from .linsolve import ZERO, matrix_rank, row_reduce, solve_standard
 from .structure import (
     compatibility_adjacency,
-    finite_elements,
     is_archimedean,
     is_atomic,
     is_modular,
@@ -566,9 +565,6 @@ def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
     else:
         dec = central_decomposition(E, c)
         sub, iso = dec.lower, dec.iso
-    if not finite_elements(E) >> c & 1:
-        raise HypothesisViolated("c finite", "unreachable on a finite algebra")
-
     mod = is_modular(sub)
     if not mod:
         raise HypothesisViolated("[0,c] modular", f"witness triple {mod.witness}")

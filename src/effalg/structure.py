@@ -2,18 +2,20 @@
 
 Sharp elements, Mackey compatibility, blocks, the two centers, modularity
 and distributivity, atomicity (is_atomic) and Archimedeanity
-(is_archimedean), finite and compact elements, sharp upper/lower bounds,
-section involutions, and the flag classifier.  Each property has one
-definition here; the claim registry and the state procedures call it.
+(is_archimedean), sharp upper/lower bounds, section involutions, and the
+flag classifier.  Each property has one definition here; the claim
+registry and the state procedures call it.  On a finite algebra every
+element is finite and compact (theorems._by_finiteness says why), so
+there is no function for either.
 
-A subset of the elements (the sharp set, a block, a center, the finite
-elements, an ideal) is an int bitmask: bit x is set when x is a member.
+A subset of the elements (the sharp set, a block, a center) is an int
+bitmask: bit x is set when x is a member.
 
 The structures that depend on E alone (sharp set, compatibility graph,
-blocks, centers, finite elements, and the modular, atomic and
-Archimedean verdicts) are core.per_algebra: derived once and kept on E.
-Their results are immutable ints, tuples and CheckResults that never
-refer back to E, and a call that raises keeps nothing.
+blocks, centers, and the modular, atomic and Archimedean verdicts) are
+core.per_algebra: derived once and kept on E.  Their results are
+immutable ints, tuples and CheckResults that never refer back to E, and a
+call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ __all__ = [
     "mv_identity_holds",
     "is_atomic",
     "is_archimedean",
-    "finite_elements",
-    "is_lattice_ideal",
-    "is_compact",
     "smallest_sharp_over",
     "greatest_sharp_under",
     "sharp_hat_formula",
@@ -347,59 +346,6 @@ def is_archimedean(E: FiniteEffectAlgebra) -> CheckResult:
             except StructuralError:
                 return CheckResult(False, (x,))
     return CheckResult(True)
-
-
-@per_algebra
-def finite_elements(E: FiniteEffectAlgebra) -> int:
-    """Zero plus everything reachable as an iterated sum of atoms.
-
-    On a finite algebra this is the whole carrier, which is asserted:
-    every nonzero element dominates an atom, subtract and recurse.
-    """
-    order = derive_order(E)
-    reach = 1 << E.zero
-    frontier = [E.zero]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            row = E.sum[r]
-            for a in order.atoms:
-                s = row[a]
-                if s is not None and not (reach >> s & 1):
-                    reach |= 1 << s
-                    nxt.append(s)
-        frontier = nxt
-    if reach != (1 << E.size) - 1:
-        raise InternalCheckFailed(
-            f"atom-sum closure missed elements: {reach:b} (finite algebras are "
-            "spanned by their atoms)")
-    return reach
-
-
-def is_lattice_ideal(E: FiniteEffectAlgebra, m: int) -> CheckResult:
-    """The subset m is downward closed and closed under binary joins."""
-    order = derive_order(E)
-    if not order.is_lattice:
-        raise NotLattice("lattice ideal test needs a lattice instance")
-    for x in bits(m):
-        if order.down[x] & ~m:
-            y = next(bits(order.down[x] & ~m))
-            return CheckResult(False, ("not-downward-closed", y, x))
-        for y in bits(m):
-            j = order.join[x][y]
-            if not (m >> j & 1):
-                return CheckResult(False, ("join-escapes", x, y, j))
-    return CheckResult(True)
-
-
-def is_compact(E: FiniteEffectAlgebra, u: int) -> bool:
-    """Compactness of u: whenever u <= join D, some finite F inside D has
-    u <= join F.
-
-    On a finite algebra every D is itself finite and so its own witness:
-    every element is compact.
-    """
-    return True
 
 
 def _minimum_of(mask: int, order: OrderStructure) -> int | list[int]:

@@ -1,4 +1,5 @@
-"""The README's list of scripts and its fixture refresh match the repository."""
+"""The README's list of scripts, its fixture refresh and its claim list
+match the repository."""
 
 import io
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 from effalg.algfile import load_algebra
 from effalg.cli import main
 from effalg.enumeration import canonical_key
+from effalg.theorems import CLAIM_IDS
 
 ROOT = Path(__file__).resolve().parent.parent
 REFRESH = ("effalg enumerate 9 --find-stateless > hit.txt && "
@@ -34,3 +36,9 @@ def test_documented_fixture_refresh_gives_the_fixture(tmp_path):
     hit.write_text(out.getvalue().split("\n", 1)[1])   # tail -n +2
     fixture = load_algebra(ROOT / "tests" / "fixtures" / "stateless9.alg")
     assert canonical_key(load_algebra(hit)) == canonical_key(fixture)
+
+
+def test_claim_registry_section_names_every_claim():
+    section = readme_section("Claim registry")
+    missing = [cid for cid in CLAIM_IDS if f"`{cid}`" not in section]
+    assert not missing

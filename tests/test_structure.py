@@ -3,7 +3,6 @@
 import pytest
 
 from conftest import algebra_from_sums
-from effalg.construct import boolean_algebra
 from effalg.core import bits, derive_order, orthosupplement
 from effalg.enumeration import EnumerationConfig, enumerate_algebras
 from effalg.errors import (HypothesisViolated, MeetUndefined, NotInSection,
@@ -15,12 +14,9 @@ from effalg.structure import (
     classify,
     compatibility_center,
     compatible,
-    finite_elements,
     greatest_sharp_under,
     is_archimedean,
     is_atomic,
-    is_compact,
-    is_lattice_ideal,
     is_modular,
     mv_identity_holds,
     section_involution,
@@ -151,39 +147,6 @@ class TestModularity:
         assert flags.is_modular and flags.is_distributive
 
 
-class TestFiniteElements:
-    def test_everything_is_finite(self, corpus):
-        for E in corpus:
-            assert finite_elements(E) == (1 << E.size) - 1
-
-    def test_c4_reaches_top_by_atom_steps(self, c4):
-        F = finite_elements(c4)
-        assert F >> 2 & 1 and F >> 3 & 1
-
-
-class TestLatticeIdeal:
-    def test_whole_algebra(self, e5):
-        assert is_lattice_ideal(e5, finite_elements(e5))
-
-    def test_principal_ideal(self, e5):
-        assert is_lattice_ideal(e5, 0b00011)
-
-    def test_join_escape(self, e5):
-        got = is_lattice_ideal(e5, 0b01011)  # {0, a, b}
-        assert not got
-        assert got.witness == ("join-escapes", 1, 3, 4)
-
-
-class TestCompact:
-    def test_trivially_compact(self, b2, c4, e5):
-        assert is_compact(e5, 4)
-        assert is_compact(b2, 1)
-        assert is_compact(c4, 2)
-
-    def test_more_than_twenty_elements_are_compact(self):
-        assert is_compact(boolean_algebra(5), 0)
-
-
 class TestSharpBounds:
     def test_e5_unsharp_atom(self, e5):
         assert smallest_sharp_over(e5, 3) == 4
@@ -276,10 +239,6 @@ class TestNonLattice:
 
     def test_hexagon_sharp_set(self, hex6):
         assert tuple(bits(sharp_elements(hex6))) == (0, 5)
-
-    def test_hexagon_compact_scan_skips_joinless_subsets(self, hex6):
-        for u in hex6.elements():
-            assert is_compact(hex6, u)
 
 
 class TestClassify:

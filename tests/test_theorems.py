@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import algebra_from_sums, make_c4, random_families
 from effalg import construct, core, structure
 from effalg import theorems as th
-from effalg.construct import chain, horizontal_sum, product
+from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.core import bits, derive_order
 from effalg.enumeration import EnumerationConfig, enumerate_algebras
 from effalg.errors import EffectAlgebraError, InternalCheckFailed, UnknownClaim
@@ -586,42 +586,17 @@ class TestBuiltIntervalOracle:
         return classes + [product([HS, chain(7)]),
                           product([HS, chain(3), chain(2)])]
 
-    def test_interval_claims(self, lattices, monkeypatch):
-        intervals = 0
+    def test_interval_claims(self, lattices):
         for E in lattices:
-            compact = sum(1 << u for u in th._compact_set(E))
-            for mask in (structure.finite_elements(E), compact):
-                assert (th._atomic_below_joins(E, mask)
-                        == built_route.atomic_below_joins(E, mask)
+            # every element of a finite algebra is finite and compact
+            every = (1 << E.size) - 1
+            for cid in ("atomic.interval_from_finite_joins",
+                        "atomic.interval_from_compact_joins"):
+                assert (tuple(th._REGISTRY[cid].conclusion(E))
+                        == built_route.atomic_below_joins(E, every)
                         == (True, None))
             assert (th._finite_interval_complete(E)
                     == built_route.finite_interval_complete(E) == (True, None))
-            # one interval at a time: the join of {z} below z is z alone,
-            # and finite.interval_complete reads one finite element
-            for z in E.elements():
-                if z == E.zero:
-                    continue
-                intervals += 1
-                assert (th._atomic_below_joins(E, 1 << z)
-                        == built_route.atomic_below_joins(E, 1 << z))
-                with monkeypatch.context() as mp:
-                    one = lambda A: 1 << z
-                    for module in (th, built_route):
-                        mp.setattr(module, "finite_elements", one)
-                    assert (th._finite_interval_complete(E)
-                            == built_route.finite_interval_complete(E))
-        assert intervals == sum(E.size - 1 for E in lattices)
-
-    def test_atomic_intervals_on_every_class(self):
-        # atomicity of [0, z] needs no joins, so non-lattices are read too
-        intervals = 0
-        for E in small_classes(9):
-            for z in E.elements():
-                if z != E.zero:
-                    intervals += 1
-                    assert (th._atomic_below_joins(E, 1 << z)
-                            == built_route.atomic_below_joins(E, 1 << z))
-        assert intervals == 922
 
     def test_block_hypothesis(self, lattices, monkeypatch):
         seen = 0
@@ -637,3 +612,137 @@ class TestBuiltIntervalOracle:
                     mp.setattr(th, "blocks", lambda A: [blk])
                     assert th._h_some_block_archimedean_atomic(E) == verdict
         assert seen == 258 + 3 + 3
+
+
+# -- the damage audit --------------------------------------------------------
+#
+# Each claim that still checks something fails on one damage to what it
+# reads, with its hypotheses met: an order whose derive_order result is
+# changed at one field (as seen from the named modules only), or a
+# subadditive state that is moved or missing.  The claims concluded by
+# _by_finiteness hold on any damage; README's "Claim registry" says why.
+
+
+def _with(table, cells):
+    """A join or meet table with each (x, y) -> v of cells set, both ways."""
+    rows = [list(r) for r in table]
+    for (x, y), v in cells.items():
+        rows[x][y] = rows[y][x] = v
+    return tuple(tuple(r) for r in rows)
+
+
+def _damage_order(mp, E, modules, **fields):
+    """derive_order(E), as the modules call it, returns E's order with
+    fields replaced; every other algebra keeps its own."""
+    damaged = replace(derive_order(E), **fields)
+    for module in modules:
+        mp.setattr(module, "derive_order",
+                   lambda A: damaged if A is E else core.derive_order(A))
+
+
+def drop_atom(mp, E):
+    """The first atom is missing from atoms and atom_mask: the damage the
+    atom-sum closure of the finite elements used to catch."""
+    order = derive_order(E)
+    a = order.atoms[0]
+    _damage_order(mp, E, (structure, th), atoms=order.atoms[1:],
+                  atom_mask=order.atom_mask & ~(1 << a))
+    return (a,)
+
+
+def drop_atom_from_list(mp, E):
+    """atom_decomposition misses the first atom; atom_mask, which is_atomic
+    reads, keeps it."""
+    order = derive_order(E)
+    _damage_order(mp, E, (structure,), atoms=order.atoms[1:])
+
+
+def larger_join(mp, E):
+    """The join of the two atoms is a larger upper bound below 1."""
+    order = derive_order(E)
+    x, y = order.atoms
+    j = order.join[x][y]
+    u = next(bits(order.up[j] & ~(1 << j | 1 << E.one)))
+    _damage_order(mp, E, (th,), join=_with(order.join, {(x, y): u}))
+
+
+def larger_dichotomy_join(mp, E):
+    """An unsharp atom a and an atom b incompatible with it join above 2a."""
+    order = derive_order(E)
+    adj = structure.compatibility_adjacency(E)
+    a = next(a for a in order.atoms if not structure.sharp_mask(E) >> a & 1)
+    b = next(b for b in order.atoms if b != a and not adj[a] >> b & 1)
+    u = next(bits(order.up[order.join[a][b]] & ~(1 << order.join[a][b])))
+    _damage_order(mp, E, (th,), join=_with(order.join, {(a, b): u}))
+    return (a, b)
+
+
+def smaller_meet(*modules):
+    """a' ^ 1 is 0 in place of a', for the first atom a."""
+    def damage(mp, E):
+        order = derive_order(E)
+        a = E.orth[order.atoms[0]]
+        _damage_order(mp, E, modules,
+                      meet=_with(order.meet, {(a, E.one): E.zero}))
+    return damage
+
+
+def moved_state(mp, E):
+    """The subadditive state is moved by 1/7 at the first atom."""
+    w = list(th._subadditive_state(E))
+    w[derive_order(E).atoms[0]] += Fraction(1, 7)
+    mp.setattr(th, "_subadditive_state", lambda A: tuple(w))
+
+
+def no_state(mp, E):
+    """The subadditive LP finds no state."""
+    mp.setattr(th, "_subadditive_state", lambda A: None)
+
+
+def hs():
+    return horizontal_sum([chain(2)] * 3)
+
+
+def grid():
+    return product([chain(2), chain(2)])
+
+
+DAMAGES = [
+    ("finite.interval_complete", grid, larger_join),
+    ("sharp.hat_formula", hs, drop_atom_from_list),
+    ("diff.distributes_over_join", grid, larger_join),
+    ("sum.distributes_over_join", grid, larger_join),
+    ("atomic.interval_from_finite_joins", hs, drop_atom),
+    ("atomic.from_archimedean_block", hs, drop_atom),
+    ("sharp.atomic_oml", lambda: boolean_algebra(2), smaller_meet(th)),
+    ("atom.below_compact", hs, drop_atom),
+    ("atomic.interval_from_compact_joins", hs, drop_atom),
+    ("center.identity", lambda: boolean_algebra(2), smaller_meet(structure)),
+    ("modular.measure", hs, moved_state),
+    ("state.from_central_element", hs, no_state),
+    ("state.atom_dichotomy", lambda: product([hs(), chain(1)]),
+     larger_dichotomy_join),
+    ("state.exists_unsharp_modular", hs, no_state),
+]
+
+
+class TestDamageAudit:
+    @pytest.mark.parametrize("cid, build, damage", DAMAGES,
+                             ids=[row[0] for row in DAMAGES])
+    def test_damage_fails_the_claim(self, monkeypatch, cid, build, damage):
+        clean = check(build(), cid)
+        assert clean.hypotheses_met and clean.conclusion_holds
+        E = build()  # a fresh instance keeps nothing derived before
+        with monkeypatch.context() as mp:
+            witness = damage(mp, E)
+            report = check(E, cid)
+        assert report.failed() and report.error is None, report
+        if witness is not None:
+            assert report.witness == witness
+
+    def test_every_claim_that_can_fail_is_damaged(self):
+        by_finiteness = [cid for cid in CLAIM_IDS
+                         if th._REGISTRY[cid].conclusion is th._by_finiteness]
+        assert len(by_finiteness) == 6
+        assert ([row[0] for row in DAMAGES]
+                == [cid for cid in CLAIM_IDS if cid not in by_finiteness])

@@ -14,7 +14,9 @@ row by row.  The groups:
   each, per frame f (the number of self-paired middles), and on the
   horizontal sum of k copies of chain(2), k = 7..9.
 * cli: a command in a fresh interpreter, start-up included, with the
-  sha256 of its stdout.
+  sha256 of its stdout: check and states --json on stateless9.alg and
+  enumerate 6 --json, whose time is mostly start-up, then enumerate 11
+  and 12.
 
 HS is horizontal_sum(chain(2), chain(2), chain(2)); hsN is a product of
 HS with chains (and boolean(2) in hs400), a modular Archimedean atomic
@@ -180,6 +182,9 @@ def chain_key_rows(k):
     yield row(f"{k}xchain2", E.size, "canonical_key", "-", digest(keys), secs)
 
 
+STATELESS9 = "../tests/fixtures/stateless9.alg"   # from src/, cli_rows' cwd
+
+
 def cli_rows(argv):
     # with -m, the working directory heads sys.path, so src/ is imported
     t0 = time.perf_counter()
@@ -196,7 +201,10 @@ PLAN = (
     ("claims", claim_rows, ("hs40", "hs60", "hs120", "hs200", "hs400", "stateless")),
     ("keys", frame_key_rows, (9,)),
     ("keys", chain_key_rows, (7, 8, 9)),
-    ("cli", cli_rows, (("enumerate", "11", "--json"),
+    ("cli", cli_rows, (("check", STATELESS9),
+                       ("states", STATELESS9, "--json"),
+                       ("enumerate", "6", "--json"),
+                       ("enumerate", "11", "--json"),
                        ("enumerate", "11", "--json", "--jobs", "2"),
                        ("enumerate", "12", "--json"))),
 )

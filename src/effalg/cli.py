@@ -19,28 +19,11 @@ import json
 import os
 import sys
 
-from .algfile import AlgebraFileError, dump_algebra, load_algebra
+# each command imports the layers it runs, so that a start with no
+# bytecode cache compiles only what that command needs
 from .core import bits, derive_order, element_order, validate
-from .enumeration import (EnumerationConfig, _rows_to_jsonable,
-                          enumerate_algebras, find_stateless, read_checkpoint,
-                          write_checkpoint)
 from .errors import (BudgetExceeded, CheckpointError, EffectAlgebraError,
                      HypothesisViolated)
-from .states import (
-    InfeasibilityCertificate,
-    find_state,
-    find_subadditive_state,
-    fraction_str,
-    state_via_exstate_procedure,
-)
-from .structure import (
-    blocks,
-    center,
-    classify,
-    compatibility_center,
-    sharp_mask,
-)
-from .theorems import CLAIM_IDS, SCALE_LIMITED, check_all, sweep
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -63,6 +46,8 @@ def _emit(data, as_json: bool, text_lines):
 
 def _load(args, command):
     """The algebra in args.file, or None once the parse error is emitted."""
+    from .algfile import AlgebraFileError, load_algebra
+
     try:
         return load_algebra(args.file)
     except AlgebraFileError as exc:
@@ -102,9 +87,8 @@ def _labels(E, xs):
     return [E.label(x) for x in xs]
 
 
-def _dot(E) -> str:
+def _dot(E, sharp) -> str:
     order = derive_order(E)
-    sharp = sharp_mask(E)
     out = ["digraph hasse {", "  rankdir=BT;"]
     for x in E.elements():
         marks = [f'label="{E.label(x)}"']
@@ -118,6 +102,9 @@ def _dot(E) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from .structure import (blocks, center, classify, compatibility_center,
+                            sharp_mask)
+
     E = _load(args, "analyze")
     if E is None:
         return EXIT_PARSE
@@ -137,6 +124,7 @@ def cmd_analyze(args) -> int:
         ("atomic", flags.is_atomic),
         ("archimedean", flags.is_archimedean),
     ]
+    sharp = sharp_mask(E)
     ords = {E.label(x): element_order(E, x)
             for x in E.elements() if x != E.zero}
     data = {
@@ -149,7 +137,7 @@ def cmd_analyze(args) -> int:
                       if flag.witness is not None},
         "atoms": _labels(E, order.atoms),
         "ord": ords,
-        "sharp": _labels(E, bits(sharp_mask(E))),
+        "sharp": _labels(E, bits(sharp)),
     }
     lines = [
         f"size {E.size}, zero {E.label(E.zero)}, one {E.label(E.one)}",
@@ -174,25 +162,24 @@ def cmd_analyze(args) -> int:
         # its error
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(_dot(E))
+                fh.write(_dot(E, sharp))
         except OSError as exc:
             _emit({"command": "analyze", "error": str(exc)}, args.json,
                   [f"error: {exc}"])
             return EXIT_PARSE
     if args.dot == "-" and args.json:
-        data["dot"] = _dot(E)
+        data["dot"] = _dot(E, sharp)
     _emit(data, args.json, lines)
     if args.dot == "-" and not args.json:
-        sys.stdout.write(_dot(E))
+        sys.stdout.write(_dot(E, sharp))
     return EXIT_OK
 
 
-def _certificate_payload(cert: InfeasibilityCertificate):
-    return [{"constraint": lab, "multiplier": fraction_str(m)}
-            for lab, m in cert.rows()]
-
-
 def cmd_states(args) -> int:
+    from .states import (InfeasibilityCertificate, find_state,
+                         find_subadditive_state, fraction_str,
+                         state_via_exstate_procedure)
+
     E = _load(args, "states")
     if E is None:
         return EXIT_PARSE
@@ -223,7 +210,8 @@ def cmd_states(args) -> int:
         data = {
             "command": "states",
             "feasible": False,
-            "certificate": _certificate_payload(result),
+            "certificate": [{"constraint": lab, "multiplier": fraction_str(m)}
+                            for lab, m in result.rows()],
         }
         lines = ["no state exists; certificate:"]
         lines += [f"  {m} * [{lab}]" for lab, m in
@@ -303,6 +291,14 @@ def cmd_enumerate(args) -> int:
 
 
 def _enumerate(args) -> int:
+    from .enumeration import (EnumerationConfig, _rows_to_jsonable,
+                              enumerate_algebras, find_stateless,
+                              read_checkpoint, write_checkpoint)
+
+    if args.find_stateless or args.show:
+        # only a printed algebra needs the file format, which loads construct
+        from .algfile import dump_algebra
+
     checkpoint = read_checkpoint(args.checkpoint)
 
     if args.find_stateless:
@@ -389,6 +385,10 @@ def _claim_rows(reports):
 
 
 def cmd_theorems(args) -> int:
+    from .algfile import dump_algebra
+    from .enumeration import EnumerationConfig
+    from .theorems import CLAIM_IDS, SCALE_LIMITED, check_all, sweep
+
     if args.sweep is not None:
         config = EnumerationConfig(size=args.sweep, **args.budget)
         try:

@@ -68,10 +68,9 @@ import os
 import time
 from dataclasses import dataclass
 
-from .core import FiniteEffectAlgebra, validate
+from .core import FiniteEffectAlgebra, derive_order, validate
 from .errors import (BudgetExceeded, CheckpointError, EffectAlgebraError,
                      InternalCheckFailed)
-from .states import StateVector, find_state
 from .structure import is_modular, sharp_mask
 
 __all__ = [
@@ -711,8 +710,6 @@ def _run_chunk(n, f, prefix, budget: _Budget):
 
 
 def _passes_filters(E: FiniteEffectAlgebra, config: EnumerationConfig) -> bool:
-    from .core import derive_order
-
     if config.lattice_only or config.modular_only:
         if not derive_order(E).is_lattice:
             return False
@@ -904,6 +901,8 @@ def find_stateless(max_n: int, node_budget=None, time_budget=None, jobs=1,
     chunks done, the classes checked and the stateless instance already met
     at that size, if any) that can be passed back in to resume.
     """
+    from .states import StateVector, find_state
+
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     budget = _Budget(node_budget, deadline)
     start_size, done, checked, found = 2, 0, 0, None

@@ -458,9 +458,11 @@ def statement(claim_id: str) -> str:
 def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
     """Evaluate one claim on one instance; never raises on bad input.
 
-    Once every hypothesis holds, an InternalCheckFailed raised by the
-    conclusion (a solver or cross-check alarm) fails the claim with the
-    witness ("internal-check", message) rather than becoming an error.
+    Once every hypothesis holds, an error raised by the conclusion fails
+    the claim rather than becoming an error report: an InternalCheckFailed
+    (a solver or cross-check alarm) with the witness ("internal-check",
+    message), any other EffectAlgebraError with (type name, message).  Only
+    an error raised by a hypothesis is reported as an error.
     """
     if claim_id not in _REGISTRY:
         raise UnknownClaim(claim_id)
@@ -479,6 +481,8 @@ def check(E: FiniteEffectAlgebra, claim_id: str) -> ClaimReport:
             holds, witness = claim.conclusion(E)
         except InternalCheckFailed as exc:
             holds, witness = False, ("internal-check", str(exc))
+        except EffectAlgebraError as exc:
+            holds, witness = False, (type(exc).__name__, str(exc))
         return ClaimReport(claim_id, claim.statement, True, tuple(detail),
                            bool(holds), witness)
     except EffectAlgebraError as exc:

@@ -49,3 +49,15 @@ def test_key_digest_and_json_output(bench, monkeypatch, capsys):
     (row,) = json.loads(capsys.readouterr().out)
     assert (row["group"], row["instance"], row["size"], row["digest"]) == (
         "keys", "7xchain2", 9, "6fecb5bea1a6")
+
+
+def test_cold_cli_rows(bench):
+    expected = {("check", bench.STATELESS9): ("exit 0", "0c22ec76a234f4f7"),
+                ("states", bench.STATELESS9, "--json"):
+                    ("exit 4", "801903ea1bcdaeec"),
+                ("enumerate", "6", "--json"): ("exit 0", "7f3bc28830f5634c")}
+    for argv, (verdict, digest) in expected.items():
+        assert argv in bench.PLAN[-1][2]
+        (row,) = bench.cli_rows(argv)
+        assert (row["instance"], row["verdict"], row["digest"]) == (
+            " ".join(argv), verdict, digest)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
@@ -541,8 +542,6 @@ class TestTheoremsCommand:
         fake = th._Claim("always fails", (), lambda E: (False, ("boom",)))
         monkeypatch.setitem(th._REGISTRY, "test.fake", fake)
         monkeypatch.setattr(th, "CLAIM_IDS", tuple(th._REGISTRY))
-        import effalg.cli as cli
-        monkeypatch.setattr(cli, "CLAIM_IDS", tuple(th._REGISTRY))
         code, out = run_cli("theorems", e5_file)
         assert code == 7 and "FAILS" in out
 
@@ -590,3 +589,35 @@ class TestDeterminism:
             first = run_cli(*argv)
             second = run_cli(*argv)
             assert first == second
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+EVERY_MODULE = {"effalg"} | {f"effalg.{p.stem}"
+                             for p in (SRC / "effalg").glob("*.py")
+                             if p.stem != "__init__"}
+ON_IMPORT = {"effalg", "effalg.cli", "effalg.core", "effalg.errors"}
+
+
+class TestImportSets:
+    """Each command imports only the layers it runs, so that a fresh
+    interpreter without a bytecode cache compiles no more than it needs."""
+
+    @pytest.mark.parametrize("argv, modules", [
+        (None, ON_IMPORT),
+        (["enumerate", "6", "--json"],
+         ON_IMPORT | {"effalg.enumeration", "effalg.structure"}),
+        (["check", str(FIXTURES / "stateless9.alg")],
+         ON_IMPORT | {"effalg.algfile", "effalg.construct"}),
+        (["theorems", "--sweep", "5"], EVERY_MODULE),
+    ], ids=["import", "enumerate", "check", "theorems-sweep"])
+    def test_fresh_interpreter_loads_exactly(self, argv, modules):
+        code = [f"import sys; sys.path.insert(0, {str(SRC)!r})",
+                "import effalg.cli"]
+        if argv is not None:
+            code.append(f"assert effalg.cli.main({argv!r}) == 0")
+        code.append("print(sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'effalg'))")
+        done = subprocess.run([sys.executable, "-c", "\n".join(code)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == repr(sorted(modules))

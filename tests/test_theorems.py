@@ -746,3 +746,50 @@ class TestDamageAudit:
         assert len(by_finiteness) == 6
         assert ([row[0] for row in DAMAGES]
                 == [cid for cid in CLAIM_IDS if cid not in by_finiteness])
+
+
+def join_reads_as_other_atom(mp, E):
+    """The join of atom x and an element u above it reads as the other atom
+    y, which x is not below: (x v u) - x raises NotBelow."""
+    order = derive_order(E)
+    x, y = order.atoms
+    u = next(bits(order.up[x] & ~(1 << x)))
+    _damage_order(mp, E, (th,), join=_with(order.join, {(x, u): y}))
+
+
+class TestRaisingConclusion:
+    """Once its hypotheses hold, a conclusion that raises fails the claim,
+    so a sweep cannot pass over it."""
+
+    CID = "diff.distributes_over_join"
+
+    def test_check_fails_the_claim(self, monkeypatch):
+        E = grid()
+        with monkeypatch.context() as mp:
+            join_reads_as_other_atom(mp, E)
+            report = check(E, self.CID)
+        assert report.failed() and report.error is None, report
+        assert report.hypothesis_detail == (("lattice", True),)
+        assert report.witness == ("NotBelow", "1 is not below 3")
+
+    def test_sweep_reports_the_claim_failed(self, monkeypatch):
+        from effalg import enumeration
+
+        E = grid()
+        join_reads_as_other_atom(monkeypatch, E)
+        monkeypatch.setattr(enumeration, "enumerate_algebras",
+                            lambda config: iter([E]))
+        [res] = sweep(EnumerationConfig(size=E.size), [self.CID])
+        assert not res.passed and res.counterexample is E
+        assert (res.hypotheses_met, res.checked) == (1, 1)
+
+    def test_raising_hypothesis_stays_an_error(self, monkeypatch):
+        def raising(E):
+            raise EffectAlgebraError("boom")
+
+        fake = th._Claim("never reached", (("raises", raising),),
+                         lambda E: (False, None))
+        monkeypatch.setitem(th._REGISTRY, "test.fake", fake)
+        report = check(grid(), "test.fake")
+        assert not report.hypotheses_met and not report.failed()
+        assert report.error == "EffectAlgebraError: boom"

@@ -6,8 +6,9 @@ of its result and the seconds it took, so that two trees can be compared
 row by row.  The groups:
 
 * lp: find_state, state_space_dimension and find_subadditive_state on
-  boolean(5), three products (p40, p60, p120) and hs120, hs200, hs400;
-  the digest hashes the state's values or the certificate's multipliers.
+  boolean(5), three products (p40, p60, p120), hs120, hs200, hs400 and
+  hc9x4; the digest hashes the state's values or the constraints and
+  multipliers a certificate prints.
 * claims: check_all on hs40 ... hs400 and on stateless, one row per claim
   and one for the whole call, whose digest hashes repr of the reports.
 * keys: canonical_key on the size-9 classes and 10 seeded relabelings of
@@ -20,8 +21,10 @@ row by row.  The groups:
 
 HS is horizontal_sum(chain(2), chain(2), chain(2)); hsN is a product of
 HS with chains (and boolean(2) in hs400), a modular Archimedean atomic
-lattice with N elements and unsharp elements.  stateless is the horizontal
-sum of tests/fixtures/stateless9.alg and chain(3), which has no state.
+lattice with N elements and unsharp elements.  hc9x4 is the horizontal
+sum of four copies of chain(9), which has no subadditive state.  stateless
+is the horizontal sum of tests/fixtures/stateless9.alg and chain(3), which
+has no state.
 
 The rows form one JSON document on stdout, one row per line, with the
 seconds last:
@@ -68,6 +71,7 @@ INSTANCES = {
     "hs120": lambda: product([hs(), chain(3), chain(5)]),
     "hs200": lambda: product([hs(), chain(3), chain(9)]),
     "hs400": lambda: product([hs(), boolean_algebra(2), chain(3), chain(4)]),
+    "hc9x4": lambda: horizontal_sum([chain(9)] * 4),
     "stateless": lambda: horizontal_sum(
         [load_algebra(ROOT / "tests" / "fixtures" / "stateless9.alg"), chain(3)]),
 }
@@ -84,15 +88,15 @@ def digest(data) -> str:
 
 
 def lp_digest(result) -> str:
-    """A hash of the state's values or of the certificate's multipliers;
-    "-" for a dimension."""
+    """A hash of the state's values or of the rows a certificate prints,
+    each constraint with its multiplier; "-" for a dimension."""
     if isinstance(result, int):
         return "-"
     if isinstance(result, StateVector):
-        values = result.values
+        text = ",".join(f"{v.numerator}/{v.denominator}" for v in result.values)
     else:
-        values = result.eq_mult + result.bound_mult + result.ineq_mult
-    text = ",".join(f"{v.numerator}/{v.denominator}" for v in values)
+        text = ",".join(f"{label}:{v.numerator}/{v.denominator}"
+                        for label, v in result.rows())
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -197,7 +201,8 @@ def cli_rows(argv):
 
 
 PLAN = (
-    ("lp", lp_rows, ("boolean5", "p40", "p60", "p120", "hs120", "hs200", "hs400")),
+    ("lp", lp_rows, ("boolean5", "p40", "p60", "p120", "hs120", "hs200", "hs400",
+                     "hc9x4")),
     ("claims", claim_rows, ("hs40", "hs60", "hs120", "hs200", "hs400", "stateless")),
     ("keys", frame_key_rows, (9,)),
     ("keys", chain_key_rows, (7, 8, 9)),

@@ -137,7 +137,7 @@ def load_algebra(path) -> FiniteEffectAlgebra:
     return loads_algebra(text)
 
 
-def dump_algebra(E: FiniteEffectAlgebra, comment: str | None = None) -> str:
+def dump_algebra(E: FiniteEffectAlgebra) -> str:
     """Serialize a valid algebra; sums with zero stay implicit."""
     labels = [E.label(x) for x in E.elements()]
     if len(set(labels)) != len(labels):
@@ -146,9 +146,6 @@ def dump_algebra(E: FiniteEffectAlgebra, comment: str | None = None) -> str:
         if not lab or any(c.isspace() for c in lab) or "#" in lab or lab == "=":
             raise AlgebraFileError(f"label {lab!r} is not file-safe")
     out = []
-    if comment:
-        for line in comment.splitlines():
-            out.append(f"# {line}")
     out.append(f"version {FORMAT_VERSION}")
     out.append("elements " + " ".join(labels))
     out.append(f"zero {labels[E.zero]}")

@@ -13,7 +13,7 @@ and Integer Programming).  One Gauss-Jordan elimination (row_reduce)
 writes every solution of the additivity rows as w = w0 + N t, with t the
 k values at the columns that are no pivot; k is 1-4 on the constructions
 measured.  An inconsistent system is refuted by the elimination alone.
-Otherwise w0 + N t >= 0 and the kept join rows are decided by the
+Otherwise w0 + N t >= 0 and the join rows are decided by the
 alternative y >= 0, y N = 0, y w0 = -1, which has k + 1 rows, with the
 simplex's phase 1.  When the alternative is infeasible, its multipliers
 (u, s) give t = u / s, a state; when it has a solution y, the
@@ -29,11 +29,12 @@ state_system to the state; verify_state and the certificate check scale
 the values or multipliers by the lcm of their denominators and check in
 integers too.
 
-The subadditive LP has a join row only for a pair that is not Mackey
+The subadditive system has a join row only for a pair that is not Mackey
 compatible.  For compatible x = x1 + d and y = y1 + d the sum
 x1 + y1 + d bounds x and y, so w(x v y) <= w(x) + w(y) - w(d) holds for
-every state and the join row is implied.  state_system still returns every
-join row, and a certificate gives each dropped row multiplier 0.
+every state and the join row is implied.  A certificate over the other
+rows proves that no subadditive state exists, and a found state is still
+checked against every join.
 """
 
 from __future__ import annotations
@@ -103,9 +104,8 @@ class LinearSystem:
     integer coefficients only, in increasing column order, as linsolve
     takes its rows; rhs is an integer too.  Every variable also satisfies
     w_i >= 0.  No row says w_i <= 1: the complement rows
-    w(x) + w(x') = w(1) = 1 imply it.  ineq_rows holds a join row for every
-    pair of middles; find_subadditive_state solves with the incompatible
-    pairs' rows only, which imply the rest.
+    w(x) + w(x') = w(1) = 1 imply it.  ineq_rows holds the join rows of
+    the pairs of middles that are not compatible, which imply the rest.
     """
 
     n_vars: int
@@ -113,7 +113,7 @@ class LinearSystem:
     ineq_rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
     eq_labels: tuple[str, ...]
     ineq_labels: tuple[str, ...]
-    var_labels: tuple[str, ...] = ()
+    var_labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,7 @@ class InfeasibilityCertificate:
                 out.append((lab, lam))
         for i, mu in enumerate(self.bound_mult):
             if mu != 0:
-                name = (self.system.var_labels[i]
-                        if self.system.var_labels else str(i))
-                out.append((f"w({name}) <= 1", mu))
+                out.append((f"w({self.system.var_labels[i]}) <= 1", mu))
         for nu, lab in zip(self.ineq_mult, self.system.ineq_labels):
             if nu != 0:
                 out.append((lab, nu))
@@ -196,22 +194,16 @@ def _sum_row(x, y, s, c=1):
     return ((x, c), (y, c), (s, -c))
 
 
-def _middle_pairs(E: FiniteEffectAlgebra):
-    """The pairs x < y of elements other than zero and one, in the order of
-    state_system's join rows."""
-    middles = [x for x in range(E.size) if x not in (E.zero, E.one)]
-    for i, x in enumerate(middles):
-        for y in middles[i + 1:]:
-            yield x, y
-
-
 def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSystem:
     """Constraints for a state (plus join subadditivity on request).
 
     Additivity rows are generated once per unordered pair of summands;
     rows that are tautological given w(zero)=0 are skipped.  E.orth is read
     first: it raises StructuralError unless every element has exactly one
-    orthosupplement, whose complement row bounds the LP.
+    orthosupplement, whose complement row bounds the LP.  With subadditive,
+    a join row follows for each pair x < y of middles that is not
+    compatible, in that order; the additivity rows and w >= 0 imply the
+    join rows of the compatible pairs (see the module docstring).
     """
     E.orth
     n, zero, one = E.size, E.zero, E.one
@@ -233,10 +225,15 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
         order = derive_order(E)
         if not order.is_lattice:
             raise NotLattice("subadditivity needs all joins")
-        for x, y in _middle_pairs(E):
-            j = order.join[x][y]
-            ineq_rows.append((_sum_row(x, y, j, -1), 0))
-            ineq_labels.append(f"w({label[j]}) <= w({label[x]}) + w({label[y]})")
+        adj = compatibility_adjacency(E)
+        middles = [x for x in range(n) if x not in (zero, one)]
+        for i, x in enumerate(middles):
+            for y in middles[i + 1:]:
+                if not adj[x] >> y & 1:
+                    j = order.join[x][y]
+                    ineq_rows.append((_sum_row(x, y, j, -1), 0))
+                    ineq_labels.append(
+                        f"w({label[j]}) <= w({label[x]}) + w({label[y]})")
 
     return LinearSystem(
         n_vars=n,
@@ -248,14 +245,14 @@ def state_system(E: FiniteEffectAlgebra, subadditive: bool = False) -> LinearSys
     )
 
 
-def _parametrize(sys: LinearSystem, ineqs):
+def _parametrize(sys: LinearSystem):
     """The states of sys as w = w0 + N t: eliminate the equality rows once
-    and write w >= 0 and the inequality rows ineqs in the free parameters.
+    and write w >= 0 and the inequality rows in the free parameters.
 
     Returns (red, k, cons).  red is the row-reduced [coeffs | rhs] of the
     equality rows; t_q is w at the q-th of the k columns that are no
-    pivot.  cons holds one constraint per w_i >= 0 and per inequality row
-    in ineqs, each as (coefficients, scale): the constraint times its
+    pivot.  cons holds one constraint per w_i >= 0 and per inequality row,
+    each as (coefficients, scale): the constraint times its
     positive integer scale reads coefficients . (t, 1) >= 0, with
     coefficients a map {q: value} and the constant term at q = k.  A pivot
     row reads w_p + sum over free f of R_f w_f = R_n, so
@@ -290,8 +287,7 @@ def _parametrize(sys: LinearSystem, ineqs):
         out = {}
         add(j, 1, out)
         cons.append((out, den(j)))
-    for i in ineqs:
-        coeffs, rhs = sys.ineq_rows[i]
+    for coeffs, rhs in sys.ineq_rows:
         # rhs - coeffs . w >= 0, scaled by the lcm of its columns' dens
         scale = lcm(*(den(j) for j, _ in coeffs))
         out = {k: rhs * scale}
@@ -334,7 +330,7 @@ def _values(k, cons, farkas, n):
                  for coeffs, scale in cons[:n])
 
 
-def _certificate(sys: LinearSystem, red, cons, y, ineqs):
+def _certificate(sys: LinearSystem, red, cons, y):
     """The certificate over the whole system from a solution y of the
     alternative.
 
@@ -344,7 +340,7 @@ def _certificate(sys: LinearSystem, red, cons, y, ineqs):
     the equality rows, and its pivot entries are its combination of the
     reduced rows, which the reduction maps back to the input rows.  An
     inconsistent system has the reduced row (0 | 1) instead.  Every
-    dropped row and every bound gets 0.  a is built in integers, for
+    dependent row and every bound gets 0.  a is built in integers, for
     d * y with d the lcm of y's denominators, and every multiplier is
     divided by d as it is written out.
     """
@@ -356,10 +352,10 @@ def _certificate(sys: LinearSystem, red, cons, y, ineqs):
         d = lcm(*(v.denominator for v in y))
         dy = [v.numerator * (d // v.denominator) for v in y]
         a = [dy[j] * cons[j][1] for j in range(n)]
-        for t, i in enumerate(ineqs):
-            m = dy[n + t] * cons[n + t][1]
+        for i, (coeffs, _) in enumerate(sys.ineq_rows):
+            m = dy[n + i] * cons[n + i][1]
             ineq_mult[i] = Fraction(-m, d)
-            for j, c in sys.ineq_rows[i][0]:
+            for j, c in coeffs:
                 a[j] -= m * c
         lam = {i: v / -d for i, v in red.combination(
             {i: a[p] for i, p in enumerate(red.pivots)}).items()}
@@ -375,16 +371,17 @@ def _certificate(sys: LinearSystem, red, cons, y, ineqs):
     return cert
 
 
-def _solve(E, sys: LinearSystem, ineqs):
-    """Solve sys with the equality rows and the inequality rows ineqs."""
-    red, k, cons = _parametrize(sys, ineqs)
+def _solve(E, sys: LinearSystem, subadditive: bool):
+    """A state of sys, verified on E (as subadditive on request), or a
+    certificate over sys."""
+    red, k, cons = _parametrize(sys)
     if cons is None:
-        return _certificate(sys, red, cons, None, ineqs)
+        return _certificate(sys, red, cons, None)
     res = solve_standard(*_to_standard(cons, k))
     if res.status == "feasible":
-        return _certificate(sys, red, cons, res.x, ineqs)
+        return _certificate(sys, red, cons, res.x)
     state = StateVector(E, _values(k, cons, res.farkas, sys.n_vars))
-    bad = verify_state(E, state, require_subadditive=bool(sys.ineq_rows))
+    bad = verify_state(E, state, require_subadditive=subadditive)
     if bad:
         raise InternalCheckFailed(f"solver state fails verification: {bad[:3]}")
     return state
@@ -392,22 +389,20 @@ def _solve(E, sys: LinearSystem, ineqs):
 
 def find_state(E: FiniteEffectAlgebra):
     """A StateVector, or an InfeasibilityCertificate when none exists."""
-    return _solve(E, state_system(E, subadditive=False), ())
+    return _solve(E, state_system(E), False)
 
 
 def find_subadditive_state(E: FiniteEffectAlgebra):
     """A subadditive StateVector, or a certificate; lattice instances only.
 
-    The LP has the join rows of the incompatible pairs only: the others
-    are implied (see the module docstring), so it has the same states.  A
-    found state is verified as subadditive over every pair, which includes
-    the pairwise exchange identity w(x) + w(y) = w(x v y) + w(x ^ y).
+    The LP is state_system(E, subadditive=True), whose join rows are those
+    of the incompatible pairs: the others are implied (see the module
+    docstring), so it has the same states, and a certificate over it
+    proves that none is subadditive.  A found state is verified as
+    subadditive over every pair, which includes the pairwise exchange
+    identity w(x) + w(y) = w(x v y) + w(x ^ y).
     """
-    sys = state_system(E, subadditive=True)
-    adj = compatibility_adjacency(E)
-    ineqs = [t for t, (x, y) in enumerate(_middle_pairs(E))
-             if not adj[x] >> y & 1]
-    return _solve(E, sys, ineqs)
+    return _solve(E, state_system(E, subadditive=True), True)
 
 
 def state_space_dimension(E: FiniteEffectAlgebra) -> int:
@@ -431,7 +426,7 @@ def state_space_dimension(E: FiniteEffectAlgebra) -> int:
     """
     sys = state_system(E, subadditive=False)
     n = sys.n_vars
-    _, k, cons = _parametrize(sys, ())
+    _, k, cons = _parametrize(sys)
     if cons is None:
         return -1
     res = solve_standard(*_to_standard(cons, k))

@@ -158,16 +158,10 @@ def join_difference_family_holds(E, family, a):
 
 def _join_difference_pairs(E):
     order = derive_order(E)
-    n = E.size
     for a in E.elements():
-        above = list(bits(order.up[a]))
-        for x, y in combinations(above, 2):
+        for x, y in combinations(bits(order.up[a]), 2):
             if not join_difference_family_holds(E, [x, y], a):
                 return False, (a, x, y)
-        if n <= 8:
-            for t in combinations(above, 3):
-                if not join_difference_family_holds(E, list(t), a):
-                    return False, (a,) + t
     return True, None
 
 
@@ -197,20 +191,16 @@ def join_sum_family_holds(E, family, b):
 
 
 def _join_sum_pairs(E):
-    """The pairs (and triples, up to 8 elements) of each [0, b'], in
-    ascending order.  (join of family) + b is defined only when the join
-    lies below b', so a family with a member outside [0, b'] holds
-    vacuously, and the first failure is the full scan's."""
+    """The pairs of each [0, b'], in ascending order.  (join of family) + b
+    is defined only when the join lies below b', so a pair with a member
+    outside [0, b'] holds vacuously, and the first failure is the full
+    scan's.  A family of three follows from its pairs: with p = x v y,
+    (p v z) + b = (p + b) v (z + b) and p + b = (x + b) v (y + b)."""
     order = derive_order(E)
     for b in E.elements():
-        below = list(bits(order.down[E.orth[b]]))
-        for x, y in combinations(below, 2):
+        for x, y in combinations(bits(order.down[E.orth[b]]), 2):
             if not join_sum_family_holds(E, [x, y], b):
                 return False, (x, y, b)
-        if E.size <= 8:
-            for t in combinations(below, 3):
-                if not join_sum_family_holds(E, list(t), b):
-                    return False, t + (b,)
     return True, None
 
 

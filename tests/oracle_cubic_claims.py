@@ -1,14 +1,18 @@
-"""Cubic reference for the claim sum.distributes_over_join.
+"""Family-scanning references for the claims sum.distributes_over_join and
+diff.distributes_over_join.
 
 join_sum_pairs tests every pair (x, y) and, up to 8 elements, every triple
-for every b, as theorems._join_sum_pairs did before it kept to the families
-inside [0, b'].  Its first failure, in the same order, is the witness the
-claim must report.  It imports only the family test it calls.
+for every b, as theorems._join_sum_pairs did before it kept to the pairs
+inside [0, b'].  join_difference_triples tests, for every a, the pairs and
+then the triples above a, as theorems._join_difference_pairs did before it
+kept to pairs.  Their first failure, in the same order, is the witness the
+claim must report.  It imports only the family tests it calls.
 """
 
 from itertools import combinations
 
-from effalg.theorems import join_sum_family_holds
+from effalg.core import bits, derive_order
+from effalg.theorems import join_difference_family_holds, join_sum_family_holds
 
 
 def join_sum_pairs(E):
@@ -22,4 +26,17 @@ def join_sum_pairs(E):
             for t in combinations(range(n), 3):
                 if not join_sum_family_holds(E, list(t), b):
                     return False, t + (b,)
+    return True, None
+
+
+def join_difference_triples(E):
+    order = derive_order(E)
+    for a in E.elements():
+        above = list(bits(order.up[a]))
+        for x, y in combinations(above, 2):
+            if not join_difference_family_holds(E, [x, y], a):
+                return False, (a, x, y)
+        for t in combinations(above, 3):
+            if not join_difference_family_holds(E, list(t), a):
+                return False, (a,) + t
     return True, None

@@ -31,7 +31,7 @@ def fraction_combination(red, coeffs):
     return {k: v for k, v in lam.items() if v}
 
 
-def fraction_multipliers(sys, red, cons, y, ineqs):
+def fraction_multipliers(sys, red, cons, y):
     """(eq_mult, ineq_mult) as tuples of Fractions."""
     n = sys.n_vars
     ineq_mult = [ZERO] * len(sys.ineq_rows)
@@ -39,10 +39,10 @@ def fraction_multipliers(sys, red, cons, y, ineqs):
         lam = fraction_combination(red, {red.pivots.index(n): 1})
     else:
         a = [y[j] * cons[j][1] for j in range(n)]
-        for t, i in enumerate(ineqs):
-            m = y[n + t] * cons[n + t][1]
+        for i, (coeffs, _) in enumerate(sys.ineq_rows):
+            m = y[n + i] * cons[n + i][1]
             ineq_mult[i] = -m
-            for j, c in sys.ineq_rows[i][0]:
+            for j, c in coeffs:
                 a[j] -= m * c
         lam = {i: -v for i, v in fraction_combination(
             red, {i: a[p] for i, p in enumerate(red.pivots)}).items()}

@@ -1,6 +1,9 @@
 """Reference for states.state_system: each row's coefficients summed in a
 dict per row, sorted and filtered of zeros, and each label formatted from
-E.label.  state_system must return an equal LinearSystem, labels included.
+E.label.  state_system must return an equal LinearSystem, labels included,
+except that with subadditive it leaves out the join rows of compatible
+pairs; this reference keeps a join row for every pair of middles, as the
+definition of a subadditive state reads.
 """
 
 from __future__ import annotations

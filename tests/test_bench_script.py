@@ -30,6 +30,16 @@ def test_lp_verdicts(bench):
         assert rows[0]["digest"] != "-"
 
 
+def test_certificate_rows(bench):
+    # the digest hashes the rows the certificate prints, which the join
+    # rows it leaves out cannot move
+    rows = list(bench.lp_rows("hc9x4"))
+    assert [(r["size"], r["call"], r["verdict"], r["digest"]) for r in rows] == [
+        (34, "find_state", "state", "dad9544229b9"),
+        (34, "state_space_dimension", "dim 0", "-"),
+        (34, "find_subadditive_state", "certificate", "b10451d202e3")]
+
+
 def test_claim_digests(bench):
     check = theorems.check
     for name, verdict, digest in (("hs40", "20 of 20 hold", "93bae9fb12d7"),

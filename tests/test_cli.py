@@ -309,6 +309,22 @@ class TestStatesCommand:
         assert data["feasible"] is False
         assert data["certificate"]  # nonempty multiplier list
 
+    def test_subadditive_certificate_on_n5(self, tmp_path):
+        # N5 has states but no subadditive one; the certificate needs the
+        # join row of its two atoms
+        path = tmp_path / "n5.alg"
+        path.write_text("version 1\nconstruct horizontal_sum(chain(3), chain(2))\n")
+        code, out = run_cli("states", str(path), "--subadditive", "--json")
+        assert code == 4
+        assert json.loads(out) == {"command": "states", "feasible": False,
+                                   "certificate": [
+            {"constraint": c, "multiplier": m} for c, m in (
+                ("w(1) = 1", "1/1"),
+                ("w(p0.a) + w(p0.a) = w(p0.2a)", "-2/1"),
+                ("w(p0.a) + w(p0.2a) = w(1)", "-2/1"),
+                ("w(p1.a) + w(p1.a) = w(1)", "-3/1"),
+                ("w(1) <= w(p0.a) + w(p1.a)", "-6/1"))]}
+
     def test_exstate_on_boolean_exits_5(self, tmp_path):
         path = tmp_path / "b2.alg"
         path.write_text("version 1\nconstruct boolean(2)\n")

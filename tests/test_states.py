@@ -111,14 +111,15 @@ class TestPresolve:
     @pytest.mark.parametrize("E, subadditive, consistent", [
         (boolean_algebra(5), False, True),
         (boolean_algebra(4), True, True),
+        (horizontal_sum([chain(2), chain(2), chain(2)]), True, True),
         (load_algebra(STATELESS9), False, False),
-    ], ids=["boolean5", "boolean4-subadditive", "stateless9"])
+    ], ids=["boolean5", "boolean4-subadditive", "hs-subadditive", "stateless9"])
     def test_tableau_is_rank_sized(self, E, subadditive, consistent, monkeypatch):
         sys = state_system(E, subadditive=subadditive)
         rank = matrix_rank([coeffs for coeffs, _ in sys.eq_rows])
         assert consistent == (rank == matrix_rank(
             [coeffs + ((E.size, rhs),) for coeffs, rhs in sys.eq_rows]))
-        red, k, cons = _parametrize(sys, range(len(sys.ineq_rows)))
+        red, k, cons = _parametrize(sys)
         assert red.kept == row_basis(
             [coeffs + ((E.size, rhs),) for coeffs, rhs in sys.eq_rows])
         assert len(red.kept) == rank + (0 if consistent else 1)
@@ -230,32 +231,32 @@ def middle_pairs(E):
 
 
 class TestImpliedJoinRows:
-    """The subadditive tableau drops the join rows of compatible pairs."""
+    """The subadditive system leaves out the join rows of compatible pairs;
+    dict_state_system keeps every join row."""
 
     def test_reduced_lp_decides_as_the_full_system(self):
         # Fourier-Motzkin on the full system is fast up to size 6 (a size-7
         # class takes seconds), the full-system simplex decides the rest
-        dropped_in_certificates = 0
+        left_out_of_certificates = 0
         for E in lattices():
-            sys = state_system(E, subadditive=True)
+            every = dict_state_system(E, subadditive=True)
             if E.size <= 6:
-                feasible = fm_feasible(sys)
+                feasible = fm_feasible(every)
             else:
-                feasible = isinstance(full.solve(E, sys), StateVector)
+                feasible = isinstance(full.solve(E, every), StateVector)
             got = find_subadditive_state(E)
             assert isinstance(got, StateVector) == feasible
             if isinstance(got, InfeasibilityCertificate):
-                assert got.system == sys and got.verify()
-                for t, (x, y) in enumerate(middle_pairs(E)):
-                    if compatible(E, x, y):
-                        assert got.ineq_mult[t] == 0
-                        dropped_in_certificates += 1
-        assert dropped_in_certificates
+                assert got.system == state_system(E, subadditive=True)
+                assert got.verify()
+                left_out_of_certificates += (len(every.ineq_rows)
+                                             - len(got.system.ineq_rows))
+        assert left_out_of_certificates
 
     def test_mv_algebra_tableau_is_find_states(self, monkeypatch):
         # every pair of an MV-algebra is compatible
         E = product([chain(3), chain(4)])
-        assert state_system(E, subadditive=True).ineq_rows
+        assert state_system(E, subadditive=True) == state_system(E)
         tableaus = []
 
         def captured(A, b, n):
@@ -342,9 +343,20 @@ class TestFullTableauOracle:
                     find_subadditive_state(E), StateVector)
 
 
+def incompatible_rows(E):
+    """dict_state_system(E, subadditive=True) with the join rows of the
+    pairs that structure.compatible rejects only, in middle-pair order."""
+    every = dict_state_system(E, subadditive=True)
+    kept = [t for t, (x, y) in enumerate(middle_pairs(E))
+            if not compatible(E, x, y)]
+    return replace(every, ineq_rows=tuple(every.ineq_rows[t] for t in kept),
+                   ineq_labels=tuple(every.ineq_labels[t] for t in kept))
+
+
 class TestStateSystemOracle:
     """state_system builds each row as its sorted tuple, and its labels
-    from one list; the dict builder gives equal systems."""
+    from one list; the dict builder gives equal systems, less the join
+    rows of compatible pairs."""
 
     def test_same_systems_as_the_dict_builder(self):
         # damaged tables whose sums repeat a summand, with one
@@ -364,8 +376,7 @@ class TestStateSystemOracle:
         for E in algebras:
             assert state_system(E) == dict_state_system(E)
             if derive_order(E).is_lattice:
-                assert (state_system(E, subadditive=True)
-                        == dict_state_system(E, subadditive=True))
+                assert state_system(E, subadditive=True) == incompatible_rows(E)
 
 
 class TestDimension:
@@ -497,7 +508,7 @@ class TestIntegerCertificateOracle:
             assert cert.verify()
         # the subadditive LPs reach the integer assembly, not only the
         # inconsistent equality rows of the stateless tables
-        assert sum(cons is not None for (_, _, cons, _, _), _ in made) == len(stateless)
+        assert sum(cons is not None for (_, _, cons, _), _ in made) == len(stateless)
 
 
 @functools.cache

@@ -36,7 +36,7 @@ from effalg.theorems import (
 import oracle_built_intervals as built_route
 import oracle_cubic_claims
 import oracle_fraction_check
-from oracle_cubic_claims import join_sum_pairs
+from oracle_cubic_claims import join_difference_triples, join_sum_pairs
 
 
 class TestRegistry:
@@ -465,6 +465,7 @@ class TestFamilyHelpers:
 
 HS = horizontal_sum([chain(2)] * 3)
 JOIN_SUM = "sum.distributes_over_join"
+JOIN_DIFF = "diff.distributes_over_join"
 
 
 @functools.cache
@@ -502,13 +503,10 @@ class TestJoinSumScan:
         for _ in range(data.draw(st.integers(1, 3))):
             b = data.draw(st.sampled_from(range(E.size)))
             below = below_orth(E, b)
-            # triples are scanned up to 8 elements only
-            sizes = [k for k in (2, 3)
-                     if len(below) >= k and (k == 2 or E.size <= 8)]
-            assume(sizes)
-            k = data.draw(st.sampled_from(sizes))
-            family = data.draw(st.lists(st.sampled_from(below), min_size=k,
-                                        max_size=k, unique=True))
+            # the claim scans pairs only: a triple follows from its pairs
+            assume(len(below) >= 2)
+            family = data.draw(st.lists(st.sampled_from(below), min_size=2,
+                                        max_size=2, unique=True))
             faults.add(tuple(sorted(family)) + (b,))
         holds = th.join_sum_family_holds
 
@@ -545,6 +543,21 @@ class TestJoinSumScan:
         # on a 2-core machine the cubic scan took 1.8-3.0 s and the scan
         # inside [0, b'] takes about 0.3 s
         assert elapsed < 1.5, f"{elapsed:.2f} s"
+
+
+class TestJoinDifferenceScan:
+    """diff.distributes_over_join tests the pairs above each a; the scan
+    that adds the triples (tests/oracle_cubic_claims.py) must reach the
+    same report."""
+
+    def test_same_reports_as_the_triple_scan(self, monkeypatch):
+        instances = [E for E in small_classes(8) if derive_order(E).is_lattice]
+        reports = [check(E, JOIN_DIFF) for E in instances]
+        triples = replace(th._REGISTRY[JOIN_DIFF],
+                          conclusion=join_difference_triples)
+        monkeypatch.setitem(th._REGISTRY, JOIN_DIFF, triples)
+        assert reports == [check(E, JOIN_DIFF) for E in instances]
+        assert all(r.hypotheses_met and r.conclusion_holds for r in reports)
 
 
 class TestModularMeasureOracle:

@@ -2,6 +2,7 @@
 
 All constructors return validated FiniteEffectAlgebra instances; a
 constructor output failing validation is a bug and raises loudly.
+central_decomposition builds nothing: it checks a central split.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "product",
     "interval",
     "central_decomposition",
-    "central_split",
-    "CentralDecomposition",
 ]
 
 SIZE_CAP = 4096  # keeps downstream O(n^3) scans tractable
@@ -264,38 +263,19 @@ def interval(E: FiniteEffectAlgebra, a: int, b: int) -> FiniteEffectAlgebra:
     return sub
 
 
-@dataclass(frozen=True)
-class CentralDecomposition:
-    """E split along a central element c as [0,c] x [0,c'].
+def central_decomposition(E: FiniteEffectAlgebra, c: int) -> tuple[tuple[int, int], ...]:
+    """The split of E along c as [0,c] x [0,c'], which E admits exactly
+    when c is central (Greechie, Foulis & Pulmannova 1995, The center of
+    an effect algebra, Order 12), checked on E's own table in O(n^2).
 
-    lower is [0,c] as an algebra.  iso[x] = (i, j) places x meet c at
-    index i of [0,c] and x meet c' at index j of [0,c'], each factor's
-    elements counted in E's order; iso is a bijection onto those pairs
-    that carries E's sums to the coordinatewise sums.
+    Returns iso: iso[x] = (i, j) places x meet c at index i of [0,c] and
+    x meet c' at index j of [0,c'], each counted in E's order as interval
+    counts them.  x -> (x meet c, x meet c') must be a bijection onto the
+    pairs, and x + y must be defined exactly when both coordinate sums are
+    defined and stay below c and c' respectively, with those sums as its
+    meets.  A failure raises NotCentral with its witness.  As for
+    structure.center, E must be a lattice (NotLattice otherwise).
     """
-
-    lower: FiniteEffectAlgebra
-    iso: tuple[tuple[int, int], ...]
-
-
-def central_decomposition(E: FiniteEffectAlgebra, c: int) -> CentralDecomposition:
-    """Split E along c as [0,c] x [0,c'], which E admits exactly when c is
-    central (Greechie, Foulis & Pulmannova 1995, The center of an effect
-    algebra, Order 12).
-
-    The split is checked on E's own table in O(n^2):
-    x -> (x meet c, x meet c') must be a bijection onto the pairs, and
-    x + y must be defined exactly when both coordinate sums are defined and
-    stay below c and c' respectively, with those sums as its meets.  A
-    failure raises NotCentral with its witness.  As for structure.center,
-    E must be a lattice (NotLattice otherwise).
-    """
-    iso = central_split(E, c)
-    return CentralDecomposition(lower=interval(E, E.zero, c), iso=iso)
-
-
-def central_split(E: FiniteEffectAlgebra, c: int) -> tuple[tuple[int, int], ...]:
-    """central_decomposition's check and its iso, without building [0,c]."""
     if c == E.zero or c == E.one:
         raise NotCentral(f"element {c} gives a degenerate factor")
     order = derive_order(E)
@@ -412,7 +392,10 @@ def parse_construction(text: str) -> ConstructionSpec:
             return ConstructionSpec(kind, (parent, a, b))
         fail(f"unknown construction {kind!r}")
 
-    spec = parse_spec()
+    try:
+        spec = parse_spec()
+    finally:
+        del parse_spec   # parse_spec refers to itself: free the parse now
     if pos != len(tokens):
         fail(f"trailing input {tokens[pos:]!r}")
     return spec

@@ -322,7 +322,6 @@ class OrderStructure:
     bound exists.  is_lattice iff both tables are total.
     """
 
-    n: int
     up: tuple[int, ...]
     down: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
@@ -398,7 +397,6 @@ def _compute_order(E: FiniteEffectAlgebra) -> OrderStructure:
                 total = False
 
     return OrderStructure(
-        n=n,
         up=up,
         down=down,
         covers=tuple(covers),

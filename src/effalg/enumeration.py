@@ -477,7 +477,10 @@ def _key_search(T, n, f, stop_below):
             pos[e] = pos[orth[e]] = 0
         return None
 
-    found = descend(1, 0)
+    try:
+        found = descend(1, 0)
+    finally:
+        del descend   # descend refers to itself: free the search now
     return found if stop_below else tuple(best)
 
 
@@ -660,7 +663,10 @@ def _collect_prefixes(n: int, f: int, depth: int):
                 path.pop()
             search.undo_to(mark)
 
-    walk(0, 0, [])
+    try:
+        walk(0, 0, [])
+    finally:
+        del walk   # walk refers to itself: free the search now
     return out
 
 
@@ -705,7 +711,10 @@ def _run_chunk(n, f, prefix, budget: _Budget):
                 dfs(k + 1, y)
             search.undo_to(mark)
 
-    dfs(start, 0)
+    try:
+        dfs(start, 0)
+    finally:
+        del dfs   # dfs refers to itself: free the search now
     return found
 
 

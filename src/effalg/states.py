@@ -4,8 +4,8 @@ A state assigns 0 to zero, 1 to one, and adds across every defined sum.
 Existence is decided by exact arithmetic in linsolve (no floating point
 anywhere near the verdict); infeasibility comes back as a certificate that
 re-verifies by independent arithmetic.  The constructive routes lift a
-subadditive state through a central element, mirroring the atom-dichotomy
-procedure.
+subadditive state through a central element c, mirroring the
+atom-dichotomy procedure; lift_state is the one place [0, c] is built.
 
 An LP is solved in the free parameters of its equality rows (implicit
 equalities and the Farkas alternative: Schrijver 1986, Theory of Linear
@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .construct import central_decomposition
+from .construct import central_decomposition, interval
 from .core import FiniteEffectAlgebra, bits, derive_order, element_order, oplus_sum
 from .errors import (
     DichotomyFailed,
@@ -60,6 +60,7 @@ from .structure import (
     is_archimedean,
     is_atomic,
     is_modular,
+    is_modular_below,
     sharp_mask,
 )
 
@@ -547,29 +548,24 @@ def lift_failed(E: FiniteEffectAlgebra, c: int,
 def state_from_central_finite(E: FiniteEffectAlgebra, c: int) -> StateVector:
     """Lift a subadditive state of [0, c] through a central element c.
 
-    construct.central_decomposition tests that c is central and gives
-    [0, c] with the index of each x meet c in it; for c = 1, [0, 1] is E
-    and the lift is the identity.  Requires c nonzero with [0, c] modular;
-    the interval state comes from the solver and the lift
-    w(x) = w_c(x meet c) is verified to be a subadditive state on E.
+    Requires c nonzero with [0, c] modular, which is read off E's order
+    (structure.is_modular_below), and then lifts by lift_state, which
+    raises NotCentral unless c is central.
     """
     if c == E.zero:
         raise HypothesisViolated("c != 0", "the zero element spans no interval")
-    if c == E.one:
-        sub, iso = E, None
-    else:
-        dec = central_decomposition(E, c)
-        sub, iso = dec.lower, dec.iso
-    mod = is_modular(sub)
+    mod = is_modular_below(E, c)
     if not mod:
         raise HypothesisViolated("[0,c] modular", f"witness triple {mod.witness}")
-    return lift_state(E, c, sub, iso)
+    return lift_state(E, c)
 
 
-def lift_state(E: FiniteEffectAlgebra, c: int, sub: FiniteEffectAlgebra,
-               iso) -> StateVector:
-    """state_from_central_finite once its hypotheses hold: sub is [0, c], a
-    modular lattice, and iso is central_split(E, c), or None for c = 1."""
+def lift_state(E: FiniteEffectAlgebra, c: int) -> StateVector:
+    """For c nonzero with [0, c] modular: split E along c (NotCentral
+    unless c is central; for c = 1 the lift is the identity), build [0, c],
+    solve its LP and verify w(x) = w_c(x meet c) as a subadditive state."""
+    iso = None if c == E.one else central_decomposition(E, c)
+    sub = E if iso is None else interval(E, E.zero, c)
     inner = find_subadditive_state(sub)
     if not isinstance(inner, StateVector):
         raise lift_failed(E, c, sub)

@@ -1,12 +1,12 @@
 """Derived substructures and classifications of a finite effect algebra.
 
 Sharp elements, Mackey compatibility, blocks, the two centers, modularity
-and distributivity, atomicity (is_atomic) and Archimedeanity
-(is_archimedean), sharp upper/lower bounds, section involutions, and the
-flag classifier.  Each property has one definition here; the claim
-registry and the state procedures call it.  On a finite algebra every
-element is finite and compact (theorems._by_finiteness says why), so
-there is no function for either.
+(of E, and of [0, z] on E's order) and distributivity, atomicity
+(is_atomic) and Archimedeanity (is_archimedean), sharp upper/lower bounds,
+section involutions, and the flag classifier.  Each property has one
+definition here; the claim registry and the state procedures call it.  On
+a finite algebra every element is finite and compact (_by_finiteness in
+theorems says why), so there is no function for either.
 
 A subset of the elements (the sharp set, a block, a center) is an int
 bitmask: bit x is set when x is a member.
@@ -55,6 +55,7 @@ __all__ = [
     "center",
     "center_by_identity",
     "is_modular",
+    "is_modular_below",
     "is_distributive",
     "mv_identity_holds",
     "is_atomic",
@@ -196,7 +197,10 @@ def _max_cliques(adj: tuple[int, ...], n: int) -> list[int]:
             p &= ~bv
             x |= bv
 
-    extend(0, (1 << n) - 1, 0)
+    try:
+        extend(0, (1 << n) - 1, 0)
+    finally:
+        del extend   # extend refers to itself: free the search now
     return out
 
 
@@ -276,20 +280,33 @@ def center(E: FiniteEffectAlgebra) -> int:
     return cen
 
 
-@per_algebra
-def is_modular(E: FiniteEffectAlgebra) -> CheckResult:
-    """x <= z implies x join (y meet z) = (x join y) meet z; witness a triple."""
+def _modular_scan(E: FiniteEffectAlgebra, m: int) -> CheckResult:
+    """The modular law over x <= z, y in the bitmask m, each ascending
+    with x outermost; witness the first triple (x, y, z) that breaks it."""
     order = derive_order(E)
     if not order.is_lattice:
         raise NotLattice("modularity is only defined on lattice instances")
-    n = E.size
-    for x in range(n):
-        ux = order.up[x]
-        for z in bits(ux):
-            for y in range(n):
+    members = list(bits(m))
+    for x in members:
+        for z in bits(order.up[x] & m):
+            for y in members:
                 if order.join[x][order.meet[y][z]] != order.meet[order.join[x][y]][z]:
                     return CheckResult(False, (x, y, z))
     return CheckResult(True)
+
+
+@per_algebra
+def is_modular(E: FiniteEffectAlgebra) -> CheckResult:
+    """x <= z implies x join (y meet z) = (x join y) meet z; witness a triple."""
+    return _modular_scan(E, (1 << E.size) - 1)
+
+
+def is_modular_below(E: FiniteEffectAlgebra, z: int) -> CheckResult:
+    """is_modular of [0, z], ordered as E on down[z], whose joins and meets
+    lie below z: the same scan on down[z], witness in E's elements.  On a
+    modular E, and at z = 1, it is is_modular(E) and scans nothing more."""
+    mod = is_modular(E)
+    return mod if mod or z == E.one else _modular_scan(E, derive_order(E).down[z])
 
 
 def is_distributive(E: FiniteEffectAlgebra) -> CheckResult:

@@ -16,6 +16,8 @@ about finite and compact elements reduce to what is left to test there:
 six hold by finiteness alone (_by_finiteness, which states why), three
 say that E is atomic (is_atomic), and finite.interval_complete tests that
 each [0, x] is closed under E's joins and meets.
+No hypothesis builds an algebra; state.from_central_element builds [0, c]
+in its conclusion (states.lift_state), which solves the LP of [0, c].
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .construct import central_split, interval
+from .construct import interval
 from .core import (FiniteEffectAlgebra, bits, derive_order, difference,
                    element_order, per_algebra, validate)
 from .errors import (BudgetExceeded, EffectAlgebraError, InternalCheckFailed,
@@ -40,6 +42,7 @@ from .structure import (
     is_archimedean,
     is_atomic,
     is_modular,
+    is_modular_below,
     sharp_elements,
     sharp_hat_formula,
     sharp_mask,
@@ -75,8 +78,8 @@ def _h_unsharp(E):
 
 # E keeps what the structure functions derive (core.per_algebra), and the
 # two below: the values of the subadditive state that three claims read
-# (None when there is none), and the qualifying central elements c, each
-# with [0, c] built for c != 1.  Neither refers back to E.
+# (None when there is none), and the qualifying central elements.  Both
+# are plain data: E keeps no algebra built from it.
 
 
 @per_algebra
@@ -87,16 +90,10 @@ def _subadditive_state(E):
 
 @per_algebra
 def _qualifying_centrals(E):
-    """(c, [0, c]) for each nonzero central c with [0, c] a modular lattice;
-    (1, None) for c = 1, whose interval is E itself."""
-    out = []
-    for c in bits(center_by_identity(E)):
-        if c == E.zero:
-            continue
-        sub = E if c == E.one else interval(E, E.zero, c)
-        if derive_order(sub).is_lattice and is_modular(sub):
-            out.append((c, None if sub is E else sub))
-    return tuple(out)
+    """The nonzero central c, ascending, with [0, c] (a lattice, as E must
+    be for center_by_identity) modular."""
+    return tuple(c for c in bits(center_by_identity(E))
+                 if c != E.zero and is_modular_below(E, c))
 
 
 # -- conclusion checks -----------------------------------------------------
@@ -271,11 +268,11 @@ def _modular_measure(E):
 
 
 def _state_from_central(E):
-    # the hypothesis built each [0, c] and found it a modular lattice
-    for c, sub in _qualifying_centrals(E):
+    # the hypothesis found each [0, c] a modular lattice
+    for c in _qualifying_centrals(E):
         try:
             if c != E.one:
-                lift_state(E, c, sub, central_split(E, c))
+                lift_state(E, c)
             elif _subadditive_state(E) is None:
                 # [0, 1] is E and the lift through 1 is the identity, so
                 # the lifted state is E's own, solved once with the others
@@ -484,9 +481,8 @@ def check_all(E: FiniteEffectAlgebra) -> list[ClaimReport]:
     """Every registered claim, in stable registry order.
 
     The claims share what they derive from E, which E keeps: each
-    hypothesis verdict, the blocks and the compatibility graph, one solve
-    of its subadditive LP and one build of [0, c] for each qualifying
-    central c != 1.
+    hypothesis verdict, the blocks and the compatibility graph, and one
+    solve of its subadditive LP; [0, c] is built once per qualifying c != 1.
     """
     bad = validate(E)
     if bad:

@@ -1,20 +1,45 @@
 """The claims' earlier routes through built algebras.
 
 Each function builds [0, z] with construct.interval, or a block as an
-algebra of its own, and asks derive_order, is_atomic or is_archimedean
-about it, as the claim registry did before it read intervals and blocks
-off the instance's own order.  Their verdicts and witnesses are the ones
-the registry must report on lattice instances.
+algebra of its own, and asks derive_order, is_modular, is_atomic or
+is_archimedean about it, as the claim registry did before it read
+intervals and blocks off the instance's own order.  Their verdicts and
+witnesses are the ones the registry must report on lattice instances.
 """
 
 from effalg.construct import interval
 from effalg.core import FiniteEffectAlgebra, bits, derive_order
-from effalg.structure import is_archimedean, is_atomic
+from effalg.structure import (CheckResult, center_by_identity, is_archimedean,
+                              is_atomic, is_modular)
 
 
 def lower_interval(E, z):
     """[0, z] as an algebra; [0, 1] is E itself."""
     return E if z == E.one else interval(E, E.zero, z)
+
+
+def modular_below(E, z):
+    """is_modular of [0, z] built as an algebra, for z nonzero, with its
+    witness relabeled to E's elements: the interval's elements are those
+    below z, in E's order."""
+    got = is_modular(lower_interval(E, z))
+    if got:
+        return got
+    carrier = list(bits(derive_order(E).down[z]))
+    return CheckResult(False, tuple(carrier[i] for i in got.witness))
+
+
+def qualifying_centrals(E):
+    """The hypothesis of state.from_central_element: each nonzero central
+    c, ascending, whose [0, c], built, is a modular lattice."""
+    out = []
+    for c in bits(center_by_identity(E)):
+        if c == E.zero:
+            continue
+        sub = lower_interval(E, c)
+        if derive_order(sub).is_lattice and is_modular(sub):
+            out.append(c)
+    return tuple(out)
 
 
 def finite_interval_complete(E):

@@ -171,9 +171,9 @@ class TestInterval:
 class TestCentralDecomposition:
     def test_inverse_of_product(self):
         E = product([boolean_algebra(2), chain(2)])
-        dec = central_decomposition(E, 9)  # (1, 0)
-        assert dec.lower.size == 4 and len({j for _, j in dec.iso}) == 3
-        assert sorted(dec.iso) == [(i, j) for i in range(4) for j in range(3)]
+        iso = central_decomposition(E, 9)  # (1, 0)
+        assert interval(E, E.zero, 9).size == 4 and len({j for _, j in iso}) == 3
+        assert sorted(iso) == [(i, j) for i in range(4) for j in range(3)]
 
     def test_non_central_rejected(self, e5):
         with pytest.raises(NotCentral):
@@ -185,8 +185,8 @@ class TestCentralDecomposition:
 
     def test_boolean_split(self):
         B3 = boolean_algebra(3)
-        dec = central_decomposition(B3, 1)
-        assert {dec.lower.size, len({j for _, j in dec.iso})} == {2, 4}
+        iso = central_decomposition(B3, 1)
+        assert {interval(B3, B3.zero, 1).size, len({j for _, j in iso})} == {2, 4}
 
 
 class TestSpecLanguage:

@@ -589,6 +589,23 @@ class TestCentralLift:
         with pytest.raises(HypothesisViolated):
             state_from_central_finite(e5, 0)
 
+    def test_interval_modularity_read_off_the_instance(self):
+        # N5 x 2: both (1,0) and (0,1) are central, but only [0, (0,1)]
+        # is modular
+        E = product([horizontal_sum([chain(3), chain(2)]), chain(1)])
+        assert E.size == 10
+        index = {E.label(x): x for x in E.elements()}
+        with pytest.raises(HypothesisViolated) as info:
+            state_from_central_finite(E, index["(1,0)"])
+        assert info.value.hypothesis == "[0,c] modular"
+        # the triple that breaks the law in N5, in E's indices
+        x, y, z = (index[lab] for lab in ("(p0.a,0)", "(p1.a,0)", "(p0.2a,0)"))
+        assert info.value.detail == f"witness triple {(x, y, z)}"
+        got = state_from_central_finite(E, index["(0,1)"])
+        assert verify_state(E, got, require_subadditive=True) == []
+        # the lift reads only the second coordinate
+        assert got.values == tuple(F(x % 2) for x in E.elements())
+
 
 def split_cases():
     """Every lattice class of sizes 3-10, then the nine instances of the
@@ -614,14 +631,14 @@ class TestCentralSplitOracle:
             cen = center(E)
             for c in middle:
                 try:
-                    dec = central_decomposition(E, c)
+                    iso = central_decomposition(E, c)
                 except NotCentral:
                     assert not cen >> c & 1
                     continue
                 assert cen >> c & 1
                 upper = interval(E, E.zero, E.orth[c])
-                prod = product([dec.lower, upper])
-                index = [i * upper.size + j for i, j in dec.iso]
+                prod = product([interval(E, E.zero, c), upper])
+                index = [i * upper.size + j for i, j in iso]
                 assert sorted(index) == list(range(prod.size))
                 for x in E.elements():
                     for y in E.elements():

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import algebra_from_sums
+from effalg.construct import chain, horizontal_sum, product
 from effalg.core import bits, derive_order, orthosupplement
 from effalg.enumeration import EnumerationConfig, enumerate_algebras
 from effalg.errors import (HypothesisViolated, MeetUndefined, NotInSection,
@@ -18,6 +19,7 @@ from effalg.structure import (
     is_archimedean,
     is_atomic,
     is_modular,
+    is_modular_below,
     mv_identity_holds,
     section_involution,
     sharp_elements,
@@ -25,6 +27,7 @@ from effalg.structure import (
     sharp_mask,
     smallest_sharp_over,
 )
+import oracle_built_intervals as built_route
 
 
 class TestSharpElements:
@@ -145,6 +148,36 @@ class TestModularity:
     def test_boolean_distributive(self, b2):
         flags = classify(b2)
         assert flags.is_modular and flags.is_distributive
+
+
+class TestModularBelowOracle:
+    """is_modular_below reads [0, z] off E's order; building [0, z]
+    (tests/oracle_built_intervals.py) gives the same verdict and the same
+    witness triple, relabeled to E's elements."""
+
+    def test_every_interval_of_the_small_lattices(self):
+        seen = failing = 0
+        for n in range(2, 11):
+            for E in enumerate_algebras(EnumerationConfig(size=n)):
+                if not derive_order(E).is_lattice:
+                    continue
+                for z in E.elements():
+                    if z != E.zero:
+                        got = is_modular_below(E, z)
+                        assert got == built_route.modular_below(E, z)
+                        seen += 1
+                        failing += not got
+        assert (seen, failing) == (1168, 114)
+
+    def test_constructions(self):
+        n5 = horizontal_sum([chain(3), chain(2)])
+        hs40 = product([horizontal_sum([chain(2)] * 3), chain(7)])
+        # N5 x 2 fails at [0, (1,0)], which is N5, and at the top
+        for E, failing in ((product([n5, chain(1)]), 2), (hs40, 0)):
+            got = [is_modular_below(E, z) for z in E.elements() if z != E.zero]
+            assert got == [built_route.modular_below(E, z)
+                           for z in E.elements() if z != E.zero]
+            assert sum(not m for m in got) == failing
 
 
 class TestSharpBounds:

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import algebra_from_sums, make_c4, random_families
-from effalg import construct, core, structure
+from effalg import construct, core, enumeration, structure
 from effalg import theorems as th
 from effalg.construct import boolean_algebra, chain, horizontal_sum, product
 from effalg.core import bits, derive_order
-from effalg.enumeration import EnumerationConfig, enumerate_algebras
-from effalg.errors import EffectAlgebraError, InternalCheckFailed, UnknownClaim
+from effalg.enumeration import (EnumerationConfig, canonical_key,
+                                enumerate_algebras)
+from effalg.errors import (BudgetExceeded, EffectAlgebraError,
+                           InternalCheckFailed, StructuralError, UnknownClaim)
 from effalg.states import find_subadditive_state
 from effalg.theorems import (
     CLAIM_IDS,
@@ -185,7 +187,7 @@ class TestCheckAll:
         assert report.witness[0] == x
         assert "InternalCheckFailed" in report.witness[1]
 
-    def test_central_split_builds_no_product(self):
+    def test_central_decomposition_builds_no_product(self):
         E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
         watched = {construct.product.__code__,
                    structure.center.__wrapped__.__code__,
@@ -218,29 +220,59 @@ class TestCheckAll:
             True, None)
 
     def test_central_intervals_are_built_and_tested_once(self):
-        E = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
-        built, tested = [], []
+        hs = product([horizontal_sum([chain(2)] * 3), chain(3), chain(2)])
+        n5_times_2 = product([horizontal_sum([chain(3), chain(2)]), chain(1)])
+        conclusion = th._state_from_central.__code__
+        for E in (hs, n5_times_2):
+            built, scanned = [], []
 
-        def profile(frame, event, arg):
-            if event != "call":
-                return
-            if frame.f_code is construct.interval.__code__:
-                built.append(frame.f_locals["b"])
-            elif frame.f_code is structure.is_modular.__wrapped__.__code__:
-                tested.append(frame.f_locals["E"])
+            def profile(frame, event, arg):
+                if event != "call":
+                    return
+                if frame.f_code is construct.interval.__code__:
+                    caller = frame.f_back
+                    while caller is not None and caller.f_code is not conclusion:
+                        caller = caller.f_back
+                    built.append((frame.f_locals["b"], caller is not None))
+                elif frame.f_code is structure._modular_scan.__code__:
+                    scanned.append((frame.f_locals["E"], frame.f_locals["m"]))
 
-        sys.setprofile(profile)
-        try:
-            report = check(E, "state.from_central_element")
-        finally:
-            sys.setprofile(None)
+            sys.setprofile(profile)
+            try:
+                report = check(E, "state.from_central_element")
+            finally:
+                sys.setprofile(None)
+            assert report.hypotheses_met and report.conclusion_holds
+            # each qualifying [0, c != 1] is built once, by the lift in the
+            # conclusion, and E keeps none of them
+            qualifying = [c for c in th._qualifying_centrals(E) if c != E.one]
+            assert qualifying and built == [(c, True) for c in qualifying]
+            assert not any(holds_algebra(v)
+                           for v in vars(E)["_per_algebra"].values())
+            # no built interval is tested: every modularity scan reads E's
+            # own order, E itself once, and [0, c] for c != 1 only when E
+            # is not modular
+            order = derive_order(E)
+            masks = [(1 << E.size) - 1]
+            if not structure.is_modular(E):
+                masks += [order.down[c] for c in bits(structure.center(E))
+                          if c not in (E.zero, E.one)]
+            assert [(A is E, m) for A, m in scanned] == [(True, m) for m in masks]
+        assert len(scanned) == 3
+
+    def test_central_claim_on_a_non_modular_instance(self):
+        # N5 x 2: (1,0) and (0,1) are central, and [0, (1,0)] is N5
+        E = product([horizontal_sum([chain(3), chain(2)]), chain(1)])
+        assert not structure.is_modular(E)
+        assert [E.label(c) for c in th._qualifying_centrals(E)] == ["(0,1)"]
+        assert [E.label(c) for c in bits(structure.center(E))] == [
+            "(0,0)", "(0,1)", "(1,0)", "(1,1)"]
+        report = check(E, "state.from_central_element")
         assert report.hypotheses_met and report.conclusion_holds
-        # the hypothesis builds [0, c] and tests its modularity; the lift
-        # takes both from it
-        assert built and len(built) == len(set(built))
-        assert len(tested) == len({id(S) for S in tested}) == len(built) + 1
 
     def test_only_central_intervals_are_built(self, monkeypatch):
+        import effalg.states as st
+
         def build():
             return product([horizontal_sum([chain(2)] * 3), chain(3)])
 
@@ -251,8 +283,9 @@ class TestCheckAll:
             built.append((A, a, b))
             return interval(A, a, b)
 
-        interval = th.interval
-        monkeypatch.setattr(th, "interval", counted)
+        interval = construct.interval
+        for module in (th, st):
+            monkeypatch.setattr(module, "interval", counted)
         # a copy, since E keeps what its claims derive
         alone = [check(build(), cid) for cid in CLAIM_IDS]
         built.clear()
@@ -375,11 +408,72 @@ class TestCheckAll:
                     assert r.hypotheses_met == (r.conclusion_holds is not None)
 
 
+def holds_algebra(value):
+    """Whether value is an algebra or a tuple holding one, at any depth."""
+    if isinstance(value, core.FiniteEffectAlgebra):
+        return True
+    return isinstance(value, tuple) and any(map(holds_algebra, value))
+
+
 @pytest.fixture(scope="module")
 def sweeps():
     """Every claim swept once over each of sizes 5 and 6."""
     return {n: {r.claim_id: r for r in sweep(EnumerationConfig(size=n), CLAIM_IDS)}
             for n in (5, 6)}
+
+
+class TestNoReferenceCycles:
+    """The recursive searches (the key search, the enumeration and its
+    prefixes, the block search, the construction parser) drop their
+    reference to themselves when they return or raise, so reference
+    counting frees each search: nothing is left to the cycle collector."""
+
+    @staticmethod
+    def left_to_the_collector(run):
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        before = len(gc.garbage)
+        try:
+            run()
+            gc.collect()
+            return len(gc.garbage) - before
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[before:]
+            gc.enable()
+
+    def test_canonical_key(self):
+        E = horizontal_sum([chain(2)] * 4)
+        assert self.left_to_the_collector(lambda: canonical_key(E)) == 0
+
+    def test_sweep(self):
+        # every claim over the size-7 classes: enumeration, key searches,
+        # block searches and the claims' own derivations
+        def run():
+            results = sweep(EnumerationConfig(size=7), CLAIM_IDS)
+            assert all(r.passed for r in results)
+
+        assert self.left_to_the_collector(run) == 0
+
+    def test_searches_cut_by_the_budget(self):
+        def run():
+            with pytest.raises(BudgetExceeded):
+                list(enumerate_algebras(EnumerationConfig(size=10,
+                                                          node_budget=2000)))
+
+        assert self.left_to_the_collector(run) == 0
+
+    def test_prefixes_and_parses(self):
+        def run():
+            enumeration._collect_prefixes(9, 1, 2)
+            construct.build(construct.parse_construction(
+                "product(horizontal_sum(chain(2), boolean(2)), "
+                "interval(chain(3), 0, 2a))"))
+            with pytest.raises(StructuralError):
+                construct.parse_construction("product(chain(2), foo(")
+
+        assert self.left_to_the_collector(run) == 0
 
 
 class TestSweeps:
@@ -610,6 +704,15 @@ class TestBuiltIntervalOracle:
                         == (True, None))
             assert (th._finite_interval_complete(E)
                     == built_route.finite_interval_complete(E) == (True, None))
+
+    def test_central_hypothesis(self, lattices):
+        n5_times_2 = product([horizontal_sum([chain(3), chain(2)]), chain(1)])
+        qualifying = 0
+        for E in lattices + [n5_times_2]:
+            got = th._qualifying_centrals(E)
+            assert got == built_route.qualifying_centrals(E)
+            qualifying += len(got)
+        assert qualifying == 58
 
     def test_block_hypothesis(self, lattices, monkeypatch):
         seen = 0
